@@ -2,13 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <unordered_map>
 
+#include "kcount/histogram.hpp"
 #include "seq/kmer_scanner.hpp"
 
 namespace hipmer::kcount {
 
 using seq::KmerT;
+
+std::optional<std::uint32_t> parse_min_count(std::string_view text) {
+  if (text == "auto") return 0;
+  std::uint32_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value == 0) return std::nullopt;
+  return value;
+}
 
 KmerAnalysis::KmerAnalysis(pgas::ThreadTeam& team, KmerAnalysisConfig config)
     : team_(team), config_(config) {
@@ -323,29 +334,51 @@ void KmerAnalysis::counting_pass(
 }
 
 void KmerAnalysis::finalize(pgas::Rank& rank) {
+  // Pre-purge spectrum over the floor of 2. Every such count is exact: the
+  // Bloom filter admits a k-mer on its second sighting and the counting
+  // pass then sees every instance, and heavy hitters are reduced exactly.
+  // So the histogram, and the cutoff read from it, do not depend on the
+  // team size. Count-1 entries (Bloom false positives) never enter it.
+  auto& hist = histogram_per_rank_[static_cast<std::size_t>(rank.id())];
+  table_->for_each_local(rank, [&](const KmerT&, KmerTally& tally) {
+    if (tally.count >= 2) ++hist[std::min<std::uint32_t>(tally.count, 255)];
+  });
   if (team_.multiprocess()) {
-    // Shards live in separate address spaces: sum them collectively.
+    // Shards live in separate address spaces: sum them collectively. Only
+    // the local row of histogram_per_rank_ is filled in this process;
+    // gather the fixed-width rows and fold (every rank contributes exactly
+    // 256 buckets, so the concatenation folds by index modulo 256).
     peak_table_entries_ = rank.allreduce_sum<std::uint64_t>(
         table_->local_size(rank.id()));
-  } else if (rank.is_root()) {
-    peak_table_entries_ = table_->size_unsafe();
+    const auto all_hist = rank.allgatherv(hist);
+    histogram_.assign(256, 0);
+    for (std::size_t idx = 0; idx < all_hist.size(); ++idx)
+      histogram_[idx % 256] += all_hist[idx];
+  } else {
+    rank.barrier();
+    if (rank.is_root()) {
+      peak_table_entries_ = table_->size_unsafe();
+      histogram_.assign(256, 0);
+      for (const auto& h : histogram_per_rank_)
+        for (std::size_t c = 0; c < h.size(); ++c) histogram_[c] += h[c];
+    }
   }
+  // Every process resolves the cutoff from the same replicated histogram.
+  if (rank.is_root() || team_.multiprocess())
+    min_count_ = config_.min_count == 0 ? choose_min_count(histogram_)
+                 : config_.use_bloom    ? std::max(config_.min_count, 2u)
+                                        : config_.min_count;
   rank.barrier();
-  // Discard below-threshold (erroneous) k-mers.
-  const std::uint32_t min_count = std::max<std::uint32_t>(
-      config_.min_count, config_.use_bloom ? 2 : config_.min_count);
-  table_->erase_local_if(rank, [&](const KmerT&, const KmerTally& tally) {
-    return tally.count < min_count;
-  });
 
-  // Collapse tallies into UFX records + histogram.
+  // Discard below-cutoff (erroneous) k-mers; collapse tallies into UFX.
+  table_->erase_local_if(rank, [&](const KmerT&, const KmerTally& tally) {
+    return tally.count < min_count_;
+  });
   auto& out = ufx_[static_cast<std::size_t>(rank.id())];
-  auto& hist = histogram_per_rank_[static_cast<std::size_t>(rank.id())];
   out.clear();
   out.reserve(table_->local_size(rank.id()));
   table_->for_each_local(rank, [&](const KmerT& km, KmerTally& tally) {
     out.emplace_back(km, summarize(tally, config_.min_ext_count));
-    ++hist[std::min<std::uint32_t>(tally.count, 255)];
     rank.stats().add_work();
   });
   rank.barrier();
@@ -363,20 +396,6 @@ void KmerAnalysis::finalize(pgas::Rank& rank) {
             : 1.0 - static_cast<double>(global_kept) /
                         static_cast<double>(global_distinct);
   }
-  if (team_.multiprocess()) {
-    // Only the local row of histogram_per_rank_ is filled in this process;
-    // gather the fixed-width rows and fold (every rank contributes exactly
-    // 256 buckets, so the concatenation folds by index modulo 256).
-    const auto all_hist = rank.allgatherv(hist);
-    histogram_.assign(256, 0);
-    for (std::size_t idx = 0; idx < all_hist.size(); ++idx)
-      histogram_[idx % 256] += all_hist[idx];
-  } else if (rank.is_root()) {
-    histogram_.assign(256, 0);
-    for (const auto& h : histogram_per_rank_)
-      for (std::size_t c = 0; c < h.size(); ++c) histogram_[c] += h[c];
-  }
-  rank.barrier();
 }
 
 std::size_t KmerAnalysis::table_entries() const {

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -37,13 +39,17 @@
 ///     rank-local map ("the high frequency k-mers are accumulated locally,
 ///     followed by a final global reduction") and exchanged once at the
 ///     end — this is the optimization Figure 6 measures.
-///  3. **Finalize** — below-threshold k-mers are discarded and extension
-///     tallies collapse into UFX records (depth + two-letter code).
+///  3. **Finalize** — the global count histogram of every k-mer seen at
+///     least twice is built, the cutoff is read from its valley when
+///     `min_count` is 0 (no separate probe run), below-cutoff k-mers are
+///     discarded, and extension tallies collapse into UFX records (depth +
+///     two-letter code).
 namespace hipmer::kcount {
 
 struct KmerAnalysisConfig {
   int k = 31;
-  /// Discard k-mers with count below this (erroneous).
+  /// Discard k-mers with count below this (erroneous); 0 derives it from
+  /// the count-histogram valley (`choose_min_count`) in the same run.
   std::uint32_t min_count = 2;
   /// Minimum Phred quality for a neighbor base to count as an extension.
   int qual_threshold = 20;
@@ -68,6 +74,12 @@ struct KmerAnalysisConfig {
   /// Per-rank k-mers per exchange round in the candidate pass.
   std::size_t chunk_kmers = 32768;
 };
+
+/// Text form of `KmerAnalysisConfig::min_count`: "auto" is 0 (the
+/// histogram valley), otherwise a decimal integer >= 1. Anything else,
+/// including "0", is nullopt.
+[[nodiscard]] std::optional<std::uint32_t> parse_min_count(
+    std::string_view text);
 
 class KmerAnalysis {
  public:
@@ -98,6 +110,13 @@ class KmerAnalysis {
       int rank) const {
     return ufx_[static_cast<std::size_t>(rank)];
   }
+  /// Moves every rank's UFX shard out; `ufx()` is empty afterwards.
+  [[nodiscard]] std::vector<std::vector<std::pair<seq::KmerT, KmerSummary>>>
+  take_ufx() {
+    auto shards = std::move(ufx_);
+    ufx_.assign(shards.size(), {});
+    return shards;
+  }
 
   [[nodiscard]] double estimated_cardinality() const noexcept {
     return cardinality_estimate_;
@@ -116,10 +135,16 @@ class KmerAnalysis {
   heavy_hitters() const noexcept {
     return heavy_hitters_;
   }
-  /// k-mer count histogram (index = count, capped at 255), global.
+  /// Global k-mer count histogram (index = count, capped at 255) over every
+  /// k-mer counted at least twice, taken before the `min_count` purge. It
+  /// does not depend on the team size.
   [[nodiscard]] const std::vector<std::uint64_t>& histogram() const noexcept {
     return histogram_;
   }
+  /// The count cutoff the purge applied: the configured `min_count` (at
+  /// least 2 with the Bloom filter on), or the histogram valley when the
+  /// configured value is 0.
+  [[nodiscard]] std::uint32_t min_count() const noexcept { return min_count_; }
   /// Total k-mer instances processed (n in the MG bound).
   [[nodiscard]] std::uint64_t total_kmer_instances() const noexcept {
     return total_instances_;
@@ -179,6 +204,7 @@ class KmerAnalysis {
   std::uint64_t total_instances_ = 0;
   double singleton_fraction_ = 0.0;
   std::vector<std::uint64_t> histogram_;
+  std::uint32_t min_count_ = 0;
 };
 
 }  // namespace hipmer::kcount

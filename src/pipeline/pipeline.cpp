@@ -5,7 +5,6 @@
 #include <cstring>
 #include <iterator>
 #include <numeric>
-#include <optional>
 #include <sstream>
 
 #include "align/contig_store.hpp"
@@ -437,21 +436,20 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
   }
 
   // ---- Stage 1: k-mer analysis ----
-  std::optional<kcount::KmerAnalysis> kmer_analysis;
-  std::vector<std::vector<kcount::UfxRecord>> loaded_ufx;
+  std::vector<std::vector<kcount::UfxRecord>> ufx;
   if (progress >= ckpt::kProgressUfx) {
-    loaded_ufx = std::move(resume_state.ufx);
-    loaded_ufx.resize(p);
+    ufx = std::move(resume_state.ufx);
+    ufx.resize(p);
   } else if (has_preloaded_ufx_) {
     // Artifact-cache hit: UFX computed by an earlier job with the same
     // fingerprint. Deal the shards round robin exactly like resume —
     // contig generation re-owns every k-mer by hash, so any producer team
     // size is valid here — and skip the k-mer analysis stage entirely
     // (which is what the per-job stage timings advertise as the hit).
-    loaded_ufx.resize(p);
+    ufx.resize(p);
     for (std::size_t s = 0; s < preloaded_ufx_.size(); ++s) {
       auto& src = preloaded_ufx_[s];
-      auto& dest = loaded_ufx[s % p];
+      auto& dest = ufx[s % p];
       dest.insert(dest.end(), std::make_move_iterator(src.begin()),
                   std::make_move_iterator(src.end()));
     }
@@ -461,29 +459,31 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
     aux.singleton_fraction = preloaded_aux_.singleton_fraction;
     aux.heavy_hitters = preloaded_aux_.heavy_hitters;
     snapshot_stage(stages, ckpt::kStageUfx, aux, [&](pgas::Rank& rank) {
-      return ckpt::encode_ufx_shard(
-          loaded_ufx[static_cast<std::size_t>(rank.id())]);
+      return ckpt::encode_ufx_shard(ufx[static_cast<std::size_t>(rank.id())]);
     });
   } else {
-    kmer_analysis.emplace(team_, config_.kmer);
+    // Scoped to this block: the count table, Bloom filters and sketches
+    // are freed once the UFX is taken out, before the later stages run.
+    kcount::KmerAnalysis kmer_analysis(team_, config_.kmer);
     run_stage(stages, kStageKmerAnalysis, [&](pgas::Rank& rank) {
       std::vector<seq::ReadSetView> sets;
       for (std::size_t lib = 0; lib < libraries.size(); ++lib)
         if (libraries[lib].for_contigging)
           sets.emplace_back(rank_reads[static_cast<std::size_t>(rank.id())][lib]);
-      kmer_analysis->run(rank, sets);
+      kmer_analysis.run(rank, sets);
     });
-    aux.distinct_kmers = kmer_analysis->distinct_kmers();
-    aux.singleton_fraction = kmer_analysis->singleton_fraction();
-    aux.heavy_hitters = kmer_analysis->heavy_hitters().size();
+    aux.distinct_kmers = kmer_analysis.distinct_kmers();
+    aux.singleton_fraction = kmer_analysis.singleton_fraction();
+    aux.heavy_hitters = kmer_analysis.heavy_hitters().size();
+    result.min_count = kmer_analysis.min_count();
+    ufx = kmer_analysis.take_ufx();
     snapshot_stage(stages, ckpt::kStageUfx, aux, [&](pgas::Rank& rank) {
-      return ckpt::encode_ufx_shard(kmer_analysis->ufx(rank.id()));
+      return ckpt::encode_ufx_shard(ufx[static_cast<std::size_t>(rank.id())]);
     });
     if (ufx_export_ && !team_.multiprocess()) {
       std::vector<std::vector<std::byte>> encoded(p);
       for (std::size_t r = 0; r < p; ++r)
-        encoded[r] =
-            ckpt::encode_ufx_shard(kmer_analysis->ufx(static_cast<int>(r)));
+        encoded[r] = ckpt::encode_ufx_shard(ufx[r]);
       auto export_fn = std::move(ufx_export_);
       ufx_export_ = nullptr;
       export_fn(std::move(encoded), aux);
@@ -494,8 +494,7 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
   result.heavy_hitters = static_cast<std::size_t>(aux.heavy_hitters);
 
   const auto ufx_of = [&](int r) -> const std::vector<kcount::UfxRecord>& {
-    return kmer_analysis ? kmer_analysis->ufx(r)
-                         : loaded_ufx[static_cast<std::size_t>(r)];
+    return ufx[static_cast<std::size_t>(r)];
   };
 
   // ---- Stages 2+3: contig generation, store + depths (§4.1) + bubbles

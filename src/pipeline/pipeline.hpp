@@ -148,6 +148,10 @@ struct PipelineResult {
   std::uint64_t distinct_kmers = 0;
   double singleton_fraction = 0.0;
   std::size_t heavy_hitters = 0;
+  /// Count cutoff the k-mer analysis stage applied (the histogram valley
+  /// when `kmer.min_count` is 0); 0 when this run restored the UFX from a
+  /// checkpoint or the artifact cache instead of running the stage.
+  std::uint32_t min_count = 0;
 
   /// Stages in execution order; repeated stage names (rounds) accumulate.
   std::vector<StageReport> stages;

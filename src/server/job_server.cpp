@@ -17,6 +17,7 @@
 #include "ckpt/artifacts.hpp"
 #include "io/fasta.hpp"
 #include "io/fs_faults.hpp"
+#include "kcount/kmer_analysis.hpp"
 #include "pgas/chaos.hpp"
 #include "pgas/fault.hpp"
 #include "io/wire.hpp"
@@ -142,8 +143,16 @@ bool JobServer::parse_submit(const Command& cmd, JobSpec* spec,
   }
   spec->priority = std::atoi(cmd.get("priority", "0").c_str());
   spec->k = std::atoi(cmd.get("k", "31").c_str());
-  spec->min_count = static_cast<std::uint32_t>(
-      std::strtoul(cmd.get("min_count", "0").c_str(), nullptr, 10));
+  if (cmd.has("min_count")) {
+    // An explicit cutoff >= 1; absent means the served default. "auto",
+    // "0" or garbage would otherwise silently fall back to that default.
+    const auto min_count = kcount::parse_min_count(cmd.get("min_count"));
+    if (!min_count || *min_count == 0) {
+      *error = "bad-min-count";
+      return false;
+    }
+    spec->min_count = *min_count;
+  }
   spec->rounds = std::atoi(cmd.get("rounds", "1").c_str());
   spec->diploid = cmd.get("diploid", "0") == "1";
   spec->resume = cmd.get("resume", "0") == "1";

@@ -470,6 +470,35 @@ TEST(Checkpoint, KillAndResumeEveryStageByteIdentical) {
   }
 }
 
+TEST(Checkpoint, AutoMinCountKilledAfterKmerAnalysisResumesIdentically) {
+  auto ds = sim::make_human_like(20000, 4242, 15.0);
+  pipeline::PipelineConfig plain = ckpt_config("");
+  plain.checkpoint.dir.clear();
+  plain.kmer.min_count = 0;  // resolved from the histogram valley
+  pipeline::Pipeline reference(pgas::Topology{4, 2}, plain);
+  const auto expected = reference.run(ds.reads, ds.libraries);
+  ASSERT_FALSE(expected.scaffolds.empty());
+  EXPECT_GE(expected.min_count, 2u);
+
+  const auto dir = fresh_dir("autokill");
+  auto cfg = ckpt_config(dir);
+  cfg.kmer.min_count = 0;
+  {
+    pipeline::Pipeline victim(pgas::Topology{4, 2}, cfg);
+    victim.team().faults().set_plan(
+        pgas::FaultPlan{2, pipeline::kStageContigGen, 0, 0});
+    EXPECT_THROW((void)victim.run(ds.reads, ds.libraries), pgas::RankKilled);
+    EXPECT_TRUE(victim.team().faults().fired());
+  }
+  pipeline::Pipeline recovery(pgas::Topology{4, 2}, cfg);
+  const auto resumed = recovery.resume(ds.reads, ds.libraries);
+  expect_same_scaffolds(expected.scaffolds, resumed.scaffolds, "auto resume");
+  EXPECT_EQ(resumed.distinct_kmers, expected.distinct_kmers);
+  // The UFX came back from the snapshot: the stage did not rerun.
+  EXPECT_EQ(resumed.min_count, 0u);
+  fs::remove_all(dir);
+}
+
 TEST(Checkpoint, ResumeOnDifferentTeamSize) {
   auto ds = sim::make_human_like(20000, 4242, 15.0);
   pipeline::PipelineConfig plain = ckpt_config("");

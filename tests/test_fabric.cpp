@@ -402,10 +402,11 @@ class FabricEndToEnd : public ::testing::Test {
   }
 
   static std::string assemble_cmd(const std::string& out,
-                                  const std::string& extra) {
+                                  const std::string& extra,
+                                  const std::string& min_count = "2") {
     return std::string(HIPMER_CLI_BIN) + " assemble --reads " + fastq_ +
-           " --insert 395 --k 21 --ranks 4 --min-count 2 --out " + dir_ +
-           "/" + out + " " + extra;
+           " --insert 395 --k 21 --ranks 4 --min-count " + min_count +
+           " --out " + dir_ + "/" + out + " " + extra;
   }
 
   static std::string slurp(const std::string& name) {
@@ -451,6 +452,39 @@ TEST_F(FabricEndToEnd, KilledWorkerResumesFromCheckpointIdentically) {
   const auto resumed = slurp("kill_proc.fasta");
   ASSERT_FALSE(ref.empty());
   EXPECT_EQ(resumed, ref);
+}
+
+// `--min-count auto`: every worker resolves the cutoff itself from the
+// gathered histogram, so the processes must agree with the threads fabric.
+TEST_F(FabricEndToEnd, AutoMinCountProcMatchesThreadsByteForByte) {
+  ASSERT_EQ(run(assemble_cmd("auto_threads.fasta", "", "auto")), 0);
+  ASSERT_EQ(run(assemble_cmd("auto_proc.fasta", "--fabric proc", "auto")), 0);
+  const auto threads = slurp("auto_threads.fasta");
+  ASSERT_FALSE(threads.empty());
+  EXPECT_EQ(slurp("auto_proc.fasta"), threads);
+}
+
+TEST_F(FabricEndToEnd, AutoMinCountKilledWorkerResumesIdentically) {
+  ASSERT_EQ(run(assemble_cmd("auto_kill_ref.fasta", "", "auto")), 0);
+  ASSERT_EQ(run(assemble_cmd("auto_kill_proc.fasta",
+                             "--fabric proc --checkpoint-dir " + dir_ +
+                                 "/auto_ckpt --kill "
+                                 "2@contig_generation:0:1,hard",
+                             "auto")),
+            0);
+  const auto ref = slurp("auto_kill_ref.fasta");
+  ASSERT_FALSE(ref.empty());
+  EXPECT_EQ(slurp("auto_kill_proc.fasta"), ref);
+}
+
+TEST_F(FabricEndToEnd, MinCountMustBeAutoOrPositiveInteger) {
+  // Exit 2 is the usage error; before validation "abc" parsed as 0.
+  for (const char* bad : {"abc", "0", "-3", "2x", "1.5"})
+    EXPECT_EQ(run(assemble_cmd("bad.fasta", "", bad)), 2) << bad;
+  std::ifstream out(dir_ + "/bad.fasta");
+  EXPECT_FALSE(out.good()) << "a rejected run must not write output";
+  ASSERT_EQ(run(assemble_cmd("one.fasta", "", "1")), 0);
+  EXPECT_FALSE(slurp("one.fasta").empty());
 }
 
 #endif  // HIPMER_CLI_BIN

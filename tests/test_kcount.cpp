@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <unordered_map>
 
+#include "ckpt/artifacts.hpp"
 #include "kcount/bloom_filter.hpp"
+#include "kcount/histogram.hpp"
 #include "kcount/hyperloglog.hpp"
 #include "kcount/kmer_analysis.hpp"
 #include "kcount/misra_gries.hpp"
@@ -367,6 +370,126 @@ TEST(KmerAnalysis, CardinalityEstimateIsSane) {
   // coverage gaps and palindromic merges).
   EXPECT_NEAR(result.cardinality, 40000.0, 4000.0);
   EXPECT_NEAR(static_cast<double>(result.distinct), 40000.0, 4000.0);
+}
+
+// ---- min_count = 0: the cutoff resolved inside the analysis ----
+
+struct SpectrumRun {
+  std::vector<std::uint64_t> histogram;
+  std::uint32_t min_count = 0;
+  std::size_t heavy_hitters = 0;
+  std::vector<std::vector<std::byte>> shards;  // encoded UFX, one per rank
+};
+
+SpectrumRun run_spectrum(const std::vector<seq::Read>& all_reads,
+                         const KmerAnalysisConfig& cfg, int nranks) {
+  pgas::ThreadTeam team(pgas::Topology{nranks, 2});
+  KmerAnalysis ka(team, cfg);
+  team.run([&](pgas::Rank& rank) {
+    std::vector<seq::Read> mine;
+    for (std::size_t i = static_cast<std::size_t>(rank.id());
+         i < all_reads.size(); i += static_cast<std::size_t>(rank.nranks()))
+      mine.push_back(all_reads[i]);
+    ka.run(rank, mine);
+  });
+  SpectrumRun out{ka.histogram(), ka.min_count(), ka.heavy_hitters().size(),
+                  {}};
+  for (int r = 0; r < nranks; ++r)
+    out.shards.push_back(ckpt::encode_ufx_shard(ka.ufx(r)));
+  return out;
+}
+
+/// Error-free ~15x reads: no error tail, so the valley sits at 2.
+std::vector<seq::Read> clean_reads() {
+  sim::GenomeConfig gc;
+  gc.length = 15000;
+  gc.seed = 41;
+  sim::LibraryConfig lc;
+  lc.read_length = 100;
+  lc.coverage = 15.0;
+  lc.seed = 42;
+  return sim::simulate_library(sim::simulate_genome(gc), lc);
+}
+
+/// A spectrum whose valley lies above 2. `choose_min_count` smooths count 1
+/// into the count-2 point, and this histogram has no count-1 bucket, so any
+/// k-mer seen exactly 4 times puts the valley at 2. Here every k-mer occurs
+/// an exact number of times: error tails at 2 and 3, nothing from 4 to 9,
+/// a coverage hump at 10, and a repeat at 400 that becomes a heavy hitter.
+std::vector<seq::Read> gapped_spectrum_reads() {
+  std::mt19937_64 rng(43);
+  std::vector<seq::Read> reads;
+  const auto emit = [&](int segments, int copies) {
+    for (int s = 0; s < segments; ++s) {
+      const std::string dna = sim::random_dna(100, rng);
+      for (int c = 0; c < copies; ++c)
+        reads.push_back(seq::Read{"r" + std::to_string(reads.size()), dna,
+                                  std::string(dna.size(), 'I')});
+    }
+  };
+  emit(60, 10);
+  emit(40, 2);
+  emit(15, 3);
+  emit(1, 400);
+  std::shuffle(reads.begin(), reads.end(), rng);
+  return reads;
+}
+
+class AutoMinCountParam : public ::testing::TestWithParam<int> {};
+
+TEST_P(AutoMinCountParam, MatchesProbeThenRerun) {
+  const int nranks = GetParam();
+  const struct {
+    const char* name;
+    std::vector<seq::Read> reads;
+    std::uint32_t valley;
+    bool heavy;
+  } datasets[] = {{"clean", clean_reads(), 2, false},
+                  {"gapped", gapped_spectrum_reads(), 8, true}};
+  for (const auto& ds : datasets) {
+    SCOPED_TRACE(ds.name);
+    KmerAnalysisConfig cfg;
+    cfg.k = 21;
+    cfg.mg_capacity = 1024;  // small data: keep the heavy-hitter path live
+
+    // The old recipe: probe with the same config, pick the valley, run
+    // again with that cutoff.
+    const auto probe = run_spectrum(ds.reads, cfg, nranks);
+    const std::uint32_t cutoff = choose_min_count(probe.histogram);
+    KmerAnalysisConfig pinned = cfg;
+    pinned.min_count = cutoff;
+    const auto rerun = run_spectrum(ds.reads, pinned, nranks);
+
+    KmerAnalysisConfig automatic = cfg;
+    automatic.min_count = 0;
+    const auto one_pass = run_spectrum(ds.reads, automatic, nranks);
+
+    EXPECT_EQ(cutoff, ds.valley);
+    EXPECT_EQ(one_pass.heavy_hitters > 0, ds.heavy);
+    EXPECT_EQ(one_pass.min_count, cutoff);
+    EXPECT_EQ(rerun.min_count, cutoff);
+    EXPECT_EQ(one_pass.histogram, probe.histogram);
+    EXPECT_EQ(rerun.histogram, probe.histogram);
+    EXPECT_EQ(one_pass.shards, rerun.shards);
+    // The spectrum is exact on any team size: every k-mer seen at least
+    // twice, counted before the purge.
+    std::vector<std::uint64_t> expected(256, 0);
+    for (const auto& [km, tally] :
+         reference_tallies(ds.reads, cfg.k, cfg.qual_threshold))
+      if (tally.count >= 2) ++expected[std::min<std::uint32_t>(tally.count, 255)];
+    EXPECT_EQ(one_pass.histogram, expected);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, AutoMinCountParam, ::testing::Values(1, 4, 6));
+
+TEST(KmerAnalysis, ParseMinCount) {
+  EXPECT_EQ(parse_min_count("auto"), 0u);
+  EXPECT_EQ(parse_min_count("1"), 1u);
+  EXPECT_EQ(parse_min_count("17"), 17u);
+  for (const char* bad : {"", "0", "abc", "3x", "-2", "+2", " 2", "1.5",
+                          "AUTO", "99999999999"})
+    EXPECT_FALSE(parse_min_count(bad).has_value()) << bad;
 }
 
 }  // namespace

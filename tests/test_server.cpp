@@ -231,6 +231,38 @@ TEST(ParseSubmit, KillSpecValidation) {
   fs::remove_all(dir);
 }
 
+TEST(ParseSubmit, MinCountValidation) {
+  const auto dir = fresh_dir("submitmin");
+  const auto fastq = (dir / "reads.fastq").string();
+  std::ofstream(fastq) << "@r/1\nACGT\n+\nIIII\n";
+  const std::string base = "reads=" + fastq + " out=x.fasta";
+
+  // Absent: the served default (spec 0 = keep the pipeline's default).
+  server::JobSpec spec;
+  std::string error;
+  ASSERT_TRUE(server::JobServer::parse_submit(submit_cmd(base), &spec, &error))
+      << error;
+  EXPECT_EQ(spec.min_count, 0u);
+
+  spec = {};
+  ASSERT_TRUE(server::JobServer::parse_submit(
+      submit_cmd(base + " min_count=1"), &spec, &error))
+      << error;
+  EXPECT_EQ(spec.min_count, 1u);
+
+  // Served auto is not supported, and 0 or garbage must not silently
+  // become the default cutoff.
+  for (const char* bad : {"auto", "0", "abc", "3x", "-2", ""}) {
+    spec = {};
+    error.clear();
+    EXPECT_FALSE(server::JobServer::parse_submit(
+        submit_cmd(base + " min_count=" + bad), &spec, &error))
+        << bad;
+    EXPECT_EQ(error, "bad-min-count") << bad;
+  }
+  fs::remove_all(dir);
+}
+
 TEST(ParseSubmit, LibrariesAndOptions) {
   const auto dir = fresh_dir("submit2");
   const auto pe = (dir / "pe.fastq").string();
@@ -822,6 +854,15 @@ TEST_F(ServedAssembly, ProtocolErrorsOverTheWire) {
   ASSERT_TRUE(hard.has_value());
   EXPECT_FALSE(hard->ok());
   EXPECT_EQ(hard->first(), "ERR bad-kill");
+
+  // `hipmer submit --min-count auto` sends min_count=auto: refused, not
+  // silently run at the served default cutoff.
+  const auto auto_min = request("SUBMIT reads=" + state_->fastq +
+                                " out=" + (state_->dir / "auto.fasta").string() +
+                                " min_count=auto");
+  ASSERT_TRUE(auto_min.has_value());
+  EXPECT_FALSE(auto_min->ok());
+  EXPECT_EQ(auto_min->first(), "ERR bad-min-count");
 
   const auto unknown = request("FROBNICATE x=1");
   ASSERT_TRUE(unknown.has_value());

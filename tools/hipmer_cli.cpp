@@ -17,8 +17,9 @@
 //
 // `assemble` accepts interleaved paired-end FASTQ files (read names must
 // carry pairing as "<lib>:<pair>/<mate>"; `simulate` writes that format).
-// `--min-count auto` derives the erroneous-k-mer cutoff from the k-mer
-// count histogram valley (see kcount/histogram.hpp).
+// `--min-count auto` (the default) derives the erroneous-k-mer cutoff from
+// the k-mer count histogram valley (see kcount/histogram.hpp), resolved by
+// the k-mer analysis stage in the same pass that counts the k-mers.
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -35,9 +36,8 @@
 #include <vector>
 
 #include "io/fastq.hpp"
-#include "io/parallel_fastq.hpp"
 #include "io/seqdb.hpp"
-#include "kcount/histogram.hpp"
+#include "kcount/kmer_analysis.hpp"
 #include "pgas/fabric.hpp"
 #include "pipeline/pipeline.hpp"
 #include "server/client.hpp"
@@ -140,6 +140,9 @@ void reap_workers(pipeline::Pipeline* pipe) {
 int report_and_write(pipeline::Pipeline& pipe,
                      const pipeline::PipelineResult& result,
                      const std::string& out) {
+  // A resumed run that restored the UFX never re-derives the cutoff.
+  if (pipe.config().kmer.min_count == 0 && result.min_count > 0)
+    std::printf("auto min-count: %u (histogram valley)\n", result.min_count);
   std::printf("%s", result.format_stages().c_str());
   if (pipe.team().transport().chaos_enabled()) {
     const std::string retries =
@@ -170,7 +173,13 @@ int cmd_assemble(int argc, char** argv) {
   const int k = static_cast<int>(opts.get_int("k", 31));
   const int ranks = static_cast<int>(opts.get_int("ranks", 16));
   const std::string out = opts.get("out", "scaffolds.fasta");
-  const std::string min_count = opts.get("min-count", "auto");
+  const std::string min_count_text = opts.get("min-count", "auto");
+  const auto min_count = kcount::parse_min_count(min_count_text);
+  if (!min_count) {
+    std::fprintf(stderr,
+                 "assemble: --min-count must be auto or an integer >= 1\n");
+    return usage();
+  }
 
   pipeline::PipelineConfig cfg;
   cfg.k = k;
@@ -180,9 +189,7 @@ int cmd_assemble(int argc, char** argv) {
   // shuffle. Neither changes the assembly output.
   cfg.packed_reads = opts.get_bool("packed-reads", false);
   cfg.shuffle_reads = opts.get_bool("shuffle-reads", false);
-  if (min_count != "auto")
-    cfg.kmer.min_count =
-        static_cast<std::uint32_t>(std::strtoul(min_count.c_str(), nullptr, 10));
+  cfg.kmer.min_count = *min_count;
   cfg.checkpoint.dir = opts.get("checkpoint-dir", "");
   cfg.checkpoint.keep_last = static_cast<int>(opts.get_int("keep-last", 0));
   if (opts.get_bool("checkpoint-rounds-only", false))
@@ -210,12 +217,10 @@ int cmd_assemble(int argc, char** argv) {
 
   if (worker_rank > 0) {
     // ---- worker mode: host one rank, connect back, run the same SPMD
-    // program. The coordinator resolved any auto min-count before spawning
-    // and pinned it numerically into our argv.
-    if (socket_path.empty() || min_count == "auto") {
+    // program (an auto min-count resolves from the gathered histogram).
+    if (socket_path.empty()) {
       std::fprintf(stderr,
-                   "assemble: --worker-rank requires --fabric-socket and a "
-                   "numeric --min-count\n");
+                   "assemble: --worker-rank requires --fabric-socket\n");
       return 2;
     }
     cfg.fabric.mode = pgas::FabricConfig::Mode::kProcWorker;
@@ -236,30 +241,6 @@ int cmd_assemble(int argc, char** argv) {
     }
   }
 
-  if (min_count == "auto") {
-    // Probe pass: run k-mer analysis cheaply at low rank count to get the
-    // histogram, pick the valley, then run the real pipeline.
-    pgas::ThreadTeam probe_team(pgas::Topology{std::min(ranks, 8), 4});
-    kcount::KmerAnalysisConfig probe_cfg = cfg.kmer;
-    kcount::KmerAnalysis probe(probe_team, probe_cfg);
-    std::vector<std::unique_ptr<io::ParallelFastqReader>> readers;
-    for (const auto& lib : libraries)
-      if (lib.for_contigging)
-        readers.push_back(std::make_unique<io::ParallelFastqReader>(lib.fastq_path));
-    probe_team.run([&](pgas::Rank& rank) {
-      std::vector<std::vector<seq::Read>> mine;
-      std::vector<const std::vector<seq::Read>*> sets;
-      for (auto& reader : readers) {
-        mine.push_back(reader->read_my_records(rank));
-        rank.barrier();
-      }
-      for (const auto& m : mine) sets.push_back(&m);
-      probe.run(rank, sets);
-    });
-    cfg.kmer.min_count = kcount::choose_min_count(probe.histogram());
-    std::printf("auto min-count: %u (histogram valley)\n", cfg.kmer.min_count);
-  }
-
   if (fabric == "proc") {
     // ---- coordinator: rank 0 + router here, one spawned process per
     // remaining rank. A RankKilled unwind (suspect peer, kill -9'd worker)
@@ -270,14 +251,14 @@ int cmd_assemble(int argc, char** argv) {
           "/tmp/hipmer-fabric-" + std::to_string(getpid()) + ".sock";
     const auto make_worker_argv = [&](const std::string& sock, bool with_kill,
                                       bool force_resume) {
-      // This binary + the original arguments, with the fabric flags and any
-      // auto-resolved min-count pinned down (workers never probe or spawn).
+      // This binary + the original arguments, with the fabric flags pinned
+      // down (workers never spawn).
       std::vector<std::string> wargv;
       wargv.push_back(g_binary);
       bool has_resume = false;
       for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i];
-        if (a == "--min-count" || a == "--fabric" || a == "--fabric-socket") {
+        if (a == "--fabric" || a == "--fabric-socket") {
           ++i;
           continue;
         }
@@ -292,9 +273,7 @@ int cmd_assemble(int argc, char** argv) {
         if (a == "--resume") has_resume = true;
         wargv.push_back(a);
       }
-      wargv.insert(wargv.end(),
-                   {"--fabric", "proc", "--fabric-socket", sock, "--min-count",
-                    std::to_string(cfg.kmer.min_count)});
+      wargv.insert(wargv.end(), {"--fabric", "proc", "--fabric-socket", sock});
       if (force_resume && !has_resume) wargv.emplace_back("--resume");
       return wargv;
     };
@@ -315,9 +294,9 @@ int cmd_assemble(int argc, char** argv) {
           pipe->team().faults().set_plan(pgas::FaultPlan::parse(kill_spec));
         std::printf(
             "assembling %zu librar%s on %d ranks (%d processes), k=%d, "
-            "min_count=%u...\n",
+            "min_count=%s...\n",
             libraries.size(), libraries.size() == 1 ? "y" : "ies", ranks,
-            ranks, k, cfg.kmer.min_count);
+            ranks, k, min_count_text.c_str());
         const auto result = pipe->execute_from_fastq(libraries, do_resume);
         return report_and_write(*pipe, result, out);
       } catch (const pgas::RankKilled& e) {
@@ -341,9 +320,9 @@ int cmd_assemble(int argc, char** argv) {
   pipeline::Pipeline pipe(pgas::Topology{ranks, 4}, cfg);
   if (!kill_spec.empty())
     pipe.team().faults().set_plan(pgas::FaultPlan::parse(kill_spec));
-  std::printf("assembling %zu librar%s on %d ranks, k=%d, min_count=%u...\n",
+  std::printf("assembling %zu librar%s on %d ranks, k=%d, min_count=%s...\n",
               libraries.size(), libraries.size() == 1 ? "y" : "ies", ranks, k,
-              cfg.kmer.min_count);
+              min_count_text.c_str());
   const auto result = pipe.execute_from_fastq(libraries, resume);
   return report_and_write(pipe, result, out);
 }
