@@ -7,6 +7,7 @@
 #include "pgas/comm_stats.hpp"
 #include "pgas/machine_model.hpp"
 #include "pgas/topology.hpp"
+#include "seq/read.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 
@@ -82,6 +83,19 @@ inline ResidentMemory resident_memory() {
   }
   std::fclose(f);
   return mem;
+}
+
+/// Capacity-true resident bytes of a `std::vector<seq::Read>` — the
+/// three-heap-strings-per-record baseline the packed arena is measured
+/// against. Strings that fit the small-string buffer live inside the Read
+/// itself; longer ones add their heap block (capacity + terminator).
+inline std::size_t read_vector_bytes(const std::vector<seq::Read>& reads) {
+  std::size_t bytes = sizeof(reads) + reads.capacity() * sizeof(seq::Read);
+  const std::size_t sso = std::string().capacity();
+  for (const auto& r : reads)
+    for (const std::string* s : {&r.name, &r.seq, &r.quals})
+      if (s->capacity() > sso) bytes += s->capacity() + 1;
+  return bytes;
 }
 
 /// Print the table and write `<name>.csv` beside the binary.

@@ -48,12 +48,10 @@ void run_genome(const std::string& label, sim::Dataset& ds, int rounds,
     pipeline::Pipeline pipe(scale.topology(), cfg);
     const auto result = pipe.run(ds.reads, ds.libraries);
 
-    // Same assembly with the locality-aware read shuffle (and the packed
-    // store it is designed around): gap closing's remote read fetches
-    // become local, shrinking its off-node message count. Output is
-    // byte-identical, so only the comm counters differ.
+    // Same assembly with the locality-aware read shuffle: gap closing's
+    // remote read fetches become local, shrinking its off-node message
+    // count. Output is byte-identical, so only the comm counters differ.
     pipeline::PipelineConfig shuf_cfg = cfg;
-    shuf_cfg.packed_reads = true;
     shuf_cfg.shuffle_reads = true;
     pipeline::Pipeline shuf_pipe(scale.topology(), shuf_cfg);
     const auto shuf_result = shuf_pipe.run(ds.reads, ds.libraries);

@@ -17,7 +17,7 @@
 #include "io/parallel_fastq.hpp"
 #include "io/seqdb.hpp"
 #include "pgas/thread_team.hpp"
-#include "seq/read_store.hpp"
+#include "seq/packed_read_arena.hpp"
 #include "sim/datasets.hpp"
 #include "util/timer.hpp"
 
@@ -64,20 +64,20 @@ int main(int argc, char** argv) {
     const double wall = timer.seconds();
     // Resident read memory, plain vs packed ingest of the same shards
     // (packed arenas compacted post-ingest, as the pipeline leaves them).
-    std::vector<seq::ReadStore> plain_stores(
-        static_cast<std::size_t>(scale.ranks), seq::ReadStore(false));
-    std::vector<seq::ReadStore> packed_stores(
-        static_cast<std::size_t>(scale.ranks), seq::ReadStore(true));
+    std::vector<std::vector<seq::Read>> plain(
+        static_cast<std::size_t>(scale.ranks));
+    std::vector<seq::PackedReads> packed(
+        static_cast<std::size_t>(scale.ranks));
     team.run([&](pgas::Rank& rank) {
       const auto r = static_cast<std::size_t>(rank.id());
-      reader.read_my_records(rank, plain_stores[r]);
-      reader.read_my_records(rank, packed_stores[r]);
-      packed_stores[r].shrink_to_fit();
+      plain[r] = reader.read_my_records(rank);
+      reader.read_my_records(rank, packed[r]);
+      packed[r].shrink_to_fit();
     });
     std::size_t plain_bytes = 0;
     std::size_t packed_bytes = 0;
-    for (const auto& s : plain_stores) plain_bytes += s.memory_bytes();
-    for (const auto& s : packed_stores) packed_bytes += s.memory_bytes();
+    for (const auto& v : plain) plain_bytes += bench::read_vector_bytes(v);
+    for (const auto& s : packed) packed_bytes += s.memory_bytes();
     // SeqDB comparison: the block-indexed binary reader on the same data.
     io::ParallelSeqdbReader sdb_reader(sdb_path);
     util::WallTimer sdb_timer;

@@ -1,22 +1,22 @@
-// Resident read-store memory: packed arena vs std::vector<seq::Read>.
+// Resident read memory: packed arena vs std::vector<seq::Read>.
 //
-// The packed store (src/seq/packed_reads.hpp) is the PR's headline memory
-// claim: 2-bit bases + exception list, mode-dispatched quality compression
+// The packed arena (src/seq/packed_read_arena.hpp) is how the pipeline holds
+// reads: 2-bit bases + exception list, mode-dispatched quality compression
 // and an offset-indexed name arena should cut resident read bytes >= 3x
-// against the seed's three-heap-strings-per-record representation. This
-// bench measures it two ways on the same records:
+// against three heap strings per record. This bench measures it two ways
+// on the same records:
 //
-//   * accounted bytes — each store's own memory_bytes() (capacity-true,
-//     what the containers hold), the primary ratio the README quotes;
+//   * accounted bytes — PackedReads::memory_bytes() against
+//     bench::read_vector_bytes() (both capacity-true, what the containers
+//     hold), the primary ratio the README quotes;
 //   * process RSS deltas — /proc/self/status before/after building each
 //     store, tying the accounting to what the OS actually charges us.
 //
 // Two quality models bracket the codec: the simulator's i.i.d. Phred
 // [30,41] stream (high entropy, RLE-hostile — the 4-bit band mode carries
 // it) and binned-bursty qualities as modern basecallers emit (RLE wins).
-// Plain stores are measured as built, matching what the seed pipeline
-// held; packed arenas are compacted post-ingest exactly as the pipeline
-// leaves them.
+// Plain vectors are measured as built; packed arenas are compacted
+// post-ingest exactly as the pipeline leaves them.
 
 #include <cstdio>
 #include <random>
@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "seq/read_store.hpp"
+#include "seq/packed_read_arena.hpp"
 #include "sim/datasets.hpp"
 #include "util/table.hpp"
 
@@ -72,29 +72,29 @@ int main(int argc, char** argv) {
   util::TextTable table({"dataset", "reads", "bases", "plain_MB", "packed_MB",
                          "ratio", "plain_B_per_read", "packed_B_per_read",
                          "plain_rss_MB", "packed_rss_MB"});
-  // Keep every store alive until the end so RSS deltas are not polluted by
-  // the allocator recycling freed pages.
-  std::vector<seq::ReadStore> keep;
-  keep.reserve(2 * std::size(cases));
+  // Keep every container alive until the end so RSS deltas are not
+  // polluted by the allocator recycling freed pages.
+  std::vector<seq::PackedReads> keep_packed;
+  std::vector<std::vector<seq::Read>> keep_plain;
+  keep_packed.reserve(std::size(cases));
+  keep_plain.reserve(std::size(cases));
   for (const auto& c : cases) {
     std::size_t bases = 0;
     for (const auto& r : *c.reads) bases += r.seq.size();
 
     const auto rss0 = bench::resident_memory();
-    keep.emplace_back(true);
-    auto& packed = keep.back();
+    auto& packed = keep_packed.emplace_back();
     packed.reserve(c.reads->size(), bases);
     for (const auto& r : *c.reads) packed.append(r);
     packed.shrink_to_fit();
     const auto rss1 = bench::resident_memory();
 
-    keep.emplace_back(false);
-    auto& plain = keep.back();
-    for (const auto& r : *c.reads) plain.append(r);
+    auto& plain = keep_plain.emplace_back();
+    for (const auto& r : *c.reads) plain.push_back(r);
     const auto rss2 = bench::resident_memory();
 
     const auto n = static_cast<double>(c.reads->size());
-    const auto plain_b = static_cast<double>(plain.memory_bytes());
+    const auto plain_b = static_cast<double>(bench::read_vector_bytes(plain));
     const auto packed_b = static_cast<double>(packed.memory_bytes());
     table.add_row(
         {c.name, std::to_string(c.reads->size()), std::to_string(bases),

@@ -140,7 +140,6 @@ std::uint64_t pipeline_gap_offnode(const pgas::Topology& topo,
   cfg.scaffolding_rounds = 2;
   cfg.merge_bubbles = false;
   cfg.sync_k();
-  cfg.packed_reads = shuffle;
   cfg.shuffle_reads = shuffle;
   pipeline::Pipeline pipe(topo, cfg);
   const auto result = pipe.run(ds.reads, ds.libraries);

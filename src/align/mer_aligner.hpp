@@ -10,7 +10,7 @@
 #include "pgas/dist_hash_map.hpp"
 #include "pgas/thread_team.hpp"
 #include "seq/read.hpp"
-#include "seq/read_store.hpp"
+#include "seq/read_set_view.hpp"
 #include "seq/types.hpp"
 
 /// merAligner: parallel seed-and-extend read-to-contig alignment (§4.3).
@@ -87,7 +87,7 @@ class MerAligner {
 
   /// Align this rank's reads; `library` tags the records. Returns the
   /// alignments found (all candidates above threshold, best first, capped).
-  /// Accepts a ReadSetView (string or packed store; a bare
+  /// Accepts a ReadSetView (the pipeline's packed arena; a bare
   /// `std::vector<seq::Read>` converts implicitly). Packed reads feed the
   /// seed scanner from their 2-bit words and decode to chars only for the
   /// extend phase.

@@ -26,59 +26,18 @@ bool count_fits(const Reader& r, std::uint64_t n, std::size_t min_record) {
 
 // ---- reads ----
 
-// wire-schema: ckpt_reads_shard writer
-std::vector<std::byte> encode_reads_shard(
-    const std::vector<std::vector<seq::Read>>& libs) {
-  std::vector<std::byte> buf;
-  Writer w(buf);
-  w.put_u32(kReadsMagic);
-  w.put_u32(static_cast<std::uint32_t>(libs.size()));
-  for (const auto& reads : libs) {
-    w.put_u64(reads.size());
-    for (const auto& read : reads) io::wire::put_read(w, read);
-  }
-  return buf;
-}
-
-// wire-schema: ckpt_reads_shard writer
-std::vector<std::byte> encode_reads_shard(
-    const std::vector<seq::ReadStore>& libs) {
-  std::vector<std::byte> buf;
-  Writer w(buf);
-  w.put_u32(kReadsMagic);
-  w.put_u32(static_cast<std::uint32_t>(libs.size()));
-  std::string seq_scratch;
-  std::string qual_scratch;
-  for (const auto& store : libs) {
-    w.put_u64(store.size());
-    for (std::size_t i = 0; i < store.size(); ++i) {
-      w.put_bytes(store.name(i));
-      w.put_bytes(store.seq(i, seq_scratch));
-      w.put_bytes(store.quals(i, qual_scratch));
-    }
-  }
-  return buf;
-}
-
 // wire-schema: ckpt_packed_reads_shard writer
 std::vector<std::byte> encode_packed_reads_shard(
-    const std::vector<seq::ReadStore>& libs) {
+    const std::vector<seq::PackedReads>& libs) {
   std::vector<std::byte> buf;
   Writer w(buf);
   w.put_u32(kPackedReadsMagic);
   w.put_u32(static_cast<std::uint32_t>(libs.size()));
-  seq::PackedReads repacked;
-  for (const auto& store : libs) {
-    const seq::PackedReads* arena = &store.arena();
-    if (!store.packed()) {
-      repacked.clear();
-      for (const auto& read : store.plain()) repacked.append(read);
-      arena = &repacked;
-    }
-    w.put_u64(arena->size());
-    for (std::size_t i = 0; i < arena->size(); ++i) {
-      w.put_bytes(arena->name(i));
-      const auto view = arena->view(i);
+  for (const auto& arena : libs) {
+    w.put_u64(arena.size());
+    for (std::size_t i = 0; i < arena.size(); ++i) {
+      w.put_bytes(arena.name(i));
+      const auto view = arena.view(i);
       w.put_u32(view.length);
       for (std::size_t wd = 0; wd < (view.length + 31) / 32; ++wd)
         w.put_u64(view.words[wd]);
@@ -87,7 +46,7 @@ std::vector<std::byte> encode_packed_reads_shard(
         w.put_u32(view.except_pos[e]);
         w.put_pod(view.except_chr[e]);  // wire: pod char
       }
-      const auto [enc, enc_len] = arena->qual_enc(i);
+      const auto [enc, enc_len] = arena.qual_enc(i);
       w.put_bytes(std::string_view(reinterpret_cast<const char*>(enc),
                                    enc_len));
     }
@@ -95,82 +54,51 @@ std::vector<std::byte> encode_packed_reads_shard(
   return buf;
 }
 
-namespace {
-
 // wire-schema: ckpt_packed_reads_shard reader
-std::optional<std::vector<std::vector<seq::Read>>> decode_packed_reads_shard(
-    Reader& r) {
-  // wire: magic kPackedReadsMagic (verified by the decode_reads_shard dispatch)
-  const std::uint32_t nlibs = r.get_u32_checked("packed nlibs");
-  if (nlibs > (1u << 16)) return std::nullopt;
-  std::vector<std::vector<seq::Read>> libs(nlibs);
-  std::vector<std::uint64_t> words;
-  std::vector<std::uint32_t> exc_pos;
-  std::vector<char> exc_chr;
-  for (auto& reads : libs) {
-    const std::uint64_t n = r.get_u64_checked("packed read count");
-    // Minimum framed packed read: name len + length + exc count + qual len.
-    if (!count_fits(r, n, 16)) return std::nullopt;
-    reads.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      seq::Read read;
-      read.name = r.get_bytes_checked("packed read name");
-      const std::uint32_t len = r.get_u32_checked("packed seq length");
-      if ((len + 31) / 32 > r.remaining() / 8 + 1) return std::nullopt;
-      words.resize((len + 31) / 32);
-      for (auto& wd : words) wd = r.get_u64_checked("packed seq word");
-      const std::uint32_t nexc = r.get_u32_checked("packed exception count");
-      if (nexc > len) return std::nullopt;
-      exc_pos.resize(nexc);
-      exc_chr.resize(nexc);
-      for (std::uint32_t e = 0; e < nexc; ++e) {
-        exc_pos[e] = r.get_u32_checked("packed exception pos");
-        exc_chr[e] = r.get_pod_checked<char>("packed exception chr");
-        if (exc_pos[e] >= len) return std::nullopt;
-      }
-      const std::string enc = r.get_bytes_checked("packed quals");
-      const seq::PackedSeqView view{words.data(), len, exc_pos.data(),
-                                    exc_chr.data(), nexc};
-      seq::decode_packed_seq(view, read.seq);
-      seq::decode_quals(reinterpret_cast<const std::uint8_t*>(enc.data()),
-                        enc.size(), len, read.quals);
-      reads.push_back(std::move(read));
-    }
-  }
-  if (!r.done()) return std::nullopt;
-  return libs;
-}
-
-// wire-schema: ckpt_reads_shard reader
-std::optional<std::vector<std::vector<seq::Read>>> decode_plain_reads_shard(
-    Reader& r) {
-  // wire: magic kReadsMagic (verified by the decode_reads_shard dispatch)
-  const std::uint32_t nlibs = r.get_u32_checked("reads nlibs");
-  if (nlibs > (1u << 16)) return std::nullopt;
-  std::vector<std::vector<seq::Read>> libs(nlibs);
-  for (auto& reads : libs) {
-    const std::uint64_t n = r.get_u64_checked("reads count");
-    // A framed read is three length-prefixed fields, 12 bytes minimum.
-    if (!count_fits(r, n, 12)) return std::nullopt;
-    reads.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      reads.push_back(io::wire::get_read_checked(r));
-    }
-  }
-  if (!r.done()) return std::nullopt;
-  return libs;
-}
-
-}  // namespace
-
 std::optional<std::vector<std::vector<seq::Read>>> decode_reads_shard(
     const std::vector<std::byte>& bytes) {
   Reader r(bytes);
   try {
-    const std::uint32_t magic = r.get_u32_checked("reads magic");
-    if (magic == kPackedReadsMagic) return decode_packed_reads_shard(r);
-    if (magic != kReadsMagic) return std::nullopt;
-    return decode_plain_reads_shard(r);
+    if (r.get_u32_checked("reads magic") != kPackedReadsMagic)
+      return std::nullopt;
+    const std::uint32_t nlibs = r.get_u32_checked("packed nlibs");
+    if (nlibs > (1u << 16)) return std::nullopt;
+    std::vector<std::vector<seq::Read>> libs(nlibs);
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint32_t> exc_pos;
+    std::vector<char> exc_chr;
+    for (auto& reads : libs) {
+      const std::uint64_t n = r.get_u64_checked("packed read count");
+      // Minimum framed packed read: name len + length + exc count + qual len.
+      if (!count_fits(r, n, 16)) return std::nullopt;
+      reads.reserve(static_cast<std::size_t>(n));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        seq::Read read;
+        read.name = r.get_bytes_checked("packed read name");
+        const std::uint32_t len = r.get_u32_checked("packed seq length");
+        if ((len + 31) / 32 > r.remaining() / 8 + 1) return std::nullopt;
+        words.resize((len + 31) / 32);
+        for (auto& wd : words) wd = r.get_u64_checked("packed seq word");
+        const std::uint32_t nexc = r.get_u32_checked("packed exception count");
+        if (nexc > len) return std::nullopt;
+        exc_pos.resize(nexc);
+        exc_chr.resize(nexc);
+        for (std::uint32_t e = 0; e < nexc; ++e) {
+          exc_pos[e] = r.get_u32_checked("packed exception pos");
+          exc_chr[e] = r.get_pod_checked<char>("packed exception chr");
+          if (exc_pos[e] >= len) return std::nullopt;
+        }
+        const std::string enc = r.get_bytes_checked("packed quals");
+        const seq::PackedSeqView view{words.data(), len, exc_pos.data(),
+                                      exc_chr.data(), nexc};
+        seq::decode_packed_seq(view, read.seq);
+        seq::decode_quals(reinterpret_cast<const std::uint8_t*>(enc.data()),
+                          enc.size(), len, read.quals);
+        reads.push_back(std::move(read));
+      }
+    }
+    if (!r.done()) return std::nullopt;
+    return libs;
   } catch (const io::wire::Error&) {
     return std::nullopt;
   }

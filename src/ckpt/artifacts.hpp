@@ -11,17 +11,17 @@
 #include "kcount/ufx_io.hpp"
 #include "scaffold/insert_size.hpp"
 #include "scaffold/sequence_builder.hpp"
+#include "seq/packed_read_arena.hpp"
 #include "seq/read.hpp"
-#include "seq/read_store.hpp"
 
 /// Binary payloads for the five inter-stage artifacts the pipeline
-/// checkpoints: the distributed read set, the k-mer spectrum (UFX), contigs
-/// with depths and termination info, read-to-contig alignments, and
-/// per-round scaffold state. Framing reuses io/wire.hpp; each payload leads
-/// with a magic u32 and record counts, so every decoder can reject a
-/// truncated or wrong-type payload instead of misparsing it (the CRC layer
-/// in SnapshotStore catches bit flips; these checks catch logic-level
-/// mix-ups and make the decoders safe on any byte string).
+/// checkpoints: the distributed read set (2-bit packed), the k-mer spectrum
+/// (UFX), contigs with depths and termination info, read-to-contig
+/// alignments, and per-round scaffold state. Framing reuses io/wire.hpp;
+/// each payload leads with a magic u32 and record counts, so every decoder
+/// can reject a truncated or wrong-type payload instead of misparsing it
+/// (the CRC layer in SnapshotStore catches bit flips; these checks catch
+/// logic-level mix-ups and make the decoders safe on any byte string).
 ///
 /// One payload = one writer rank's shard. The `reshard_*` helpers remap a
 /// decoded shard set onto a resume team of a different size; for the same
@@ -29,7 +29,6 @@
 /// distribution the writer had.
 namespace hipmer::ckpt {
 
-inline constexpr std::uint32_t kReadsMagic = 0x31534452;   // "RDS1"
 inline constexpr std::uint32_t kPackedReadsMagic = 0x31504452;  // "RDP1"
 inline constexpr std::uint32_t kUfxMagic = 0x31584655;     // "UFX1"
 inline constexpr std::uint32_t kContigsMagic = 0x31475443;  // "CTG1"
@@ -40,24 +39,14 @@ inline constexpr std::uint32_t kScaffMagic = 0x31464353;   // "SCF1"
 
 // ---- reads: one rank's share of every library ----
 
-[[nodiscard]] std::vector<std::byte> encode_reads_shard(
-    const std::vector<std::vector<seq::Read>>& libs);
-
-/// Same "RDS1" string format, sourced from ReadStores (packed stores are
-/// decoded record by record). The pipeline uses this when --packed-reads
-/// is off; with it on, the packed shard below is written instead.
-[[nodiscard]] std::vector<std::byte> encode_reads_shard(
-    const std::vector<seq::ReadStore>& libs);
-
-/// Packed variant ("RDP1"): 2-bit words + exception list + RLE quals per
-/// read, written when the pipeline runs with --packed-reads. Roughly 4x
-/// smaller on disk than the string shard for typical short-read data. A
-/// plain (string) store is packed on the fly.
+/// "RDP1": per library, each read's 2-bit words + exception list + encoded
+/// quals, copied straight out of the resident PackedReads arena.
 [[nodiscard]] std::vector<std::byte> encode_packed_reads_shard(
-    const std::vector<seq::ReadStore>& libs);
+    const std::vector<seq::PackedReads>& libs);
 
-/// Decodes either shard flavor (dispatch on the leading magic), so resume
-/// works across runs that toggled --packed-reads.
+/// nullopt on anything but a well-formed "RDP1" shard — including the
+/// retired "RDS1" string shard, which resume then treats like any other
+/// undecodable snapshot.
 [[nodiscard]] std::optional<std::vector<std::vector<seq::Read>>>
 decode_reads_shard(const std::vector<std::byte>& bytes);
 

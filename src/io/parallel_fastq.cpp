@@ -122,7 +122,7 @@ std::vector<seq::Read> ParallelFastqReader::read_my_records(pgas::Rank& rank) {
 }
 
 void ParallelFastqReader::read_my_records(pgas::Rank& rank,
-                                          seq::ReadStore& out) {
+                                          seq::PackedReads& out) {
   read_records_impl(rank, [&](std::string_view name, std::string_view bases,
                               std::string_view quals) {
     out.append(name, bases, quals);

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "pgas/thread_team.hpp"
+#include "seq/packed_read_arena.hpp"
 #include "seq/read.hpp"
-#include "seq/read_store.hpp"
 
 /// Parallel block FASTQ reader (§3.3 of the paper).
 ///
@@ -49,10 +49,10 @@ class ParallelFastqReader {
   /// is exactly the file, with no duplicates.
   [[nodiscard]] std::vector<seq::Read> read_my_records(pgas::Rank& rank);
 
-  /// Same collective, appending into a ReadStore. With a packed store the
-  /// record fields go straight from the parse buffer into the 2-bit arena —
-  /// no per-record std::string triple ever exists.
-  void read_my_records(pgas::Rank& rank, seq::ReadStore& out);
+  /// Same collective, appending into a PackedReads arena: the record
+  /// fields go straight from the parse buffer into the 2-bit arena — no
+  /// per-record std::string triple ever exists.
+  void read_my_records(pgas::Rank& rank, seq::PackedReads& out);
 
   /// Stats from the last read_my_records call on this rank.
   [[nodiscard]] const ParallelFastqStats& stats(int rank_id) const {

@@ -14,7 +14,7 @@
 #include "pgas/dist_hash_map.hpp"
 #include "pgas/thread_team.hpp"
 #include "seq/read.hpp"
-#include "seq/read_store.hpp"
+#include "seq/read_set_view.hpp"
 #include "seq/types.hpp"
 
 /// Stage 1 of the pipeline: parallel k-mer analysis (§2 step 1, §3.1).
@@ -91,8 +91,8 @@ class KmerAnalysis {
 
   /// Collective: full analysis of this rank's share of the reads. Must be
   /// called by every rank inside one team.run(). The ReadSetView overload
-  /// is the core path — it scans string or packed reads alike (packed
-  /// reads feed the scanner straight from their 2-bit words).
+  /// is the core path — it scans the packed arena or a string vector alike
+  /// (packed reads feed the scanner straight from their 2-bit words).
   void run(pgas::Rank& rank, const std::vector<seq::ReadSetView>& read_sets);
 
   void run(pgas::Rank& rank, const std::vector<seq::Read>& reads);

@@ -272,9 +272,7 @@ void Pipeline::snapshot_stage(std::vector<StageReport>& stages,
 
 Pipeline::RankReads Pipeline::make_rank_reads(std::size_t nlibs) const {
   const auto p = static_cast<std::size_t>(team_.nranks());
-  return RankReads(
-      p, std::vector<seq::ReadStore>(nlibs,
-                                     seq::ReadStore(config_.packed_reads)));
+  return RankReads(p, std::vector<seq::PackedReads>(nlibs));
 }
 
 PipelineResult Pipeline::run(
@@ -325,7 +323,7 @@ PipelineResult Pipeline::run_from_fastq(
         while (!rd.done()) {
           auto read = io::wire::get_read(rd);
           if (rd.truncated()) break;
-          dest.append(std::move(read));
+          dest.append(read);
         }
         rank.barrier();
       }
@@ -401,23 +399,22 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
 
   const int progress = resume_state.progress;
   if (!resume_state.reads.empty()) {
-    // Snapshot reads come back as plain records regardless of which shard
-    // flavor was on disk; repack into this run's representation.
+    // Snapshot reads come back as plain records; repack into the arenas.
     rank_reads = make_rank_reads(libraries.size());
     for (std::size_t r = 0; r < resume_state.reads.size() && r < p; ++r) {
-      auto& per_rank = resume_state.reads[r];
+      const auto& per_rank = resume_state.reads[r];
       for (std::size_t lib = 0; lib < per_rank.size() && lib < libraries.size();
            ++lib)
-        for (auto& read : per_rank[lib])
-          rank_reads[r][lib].append(std::move(read));
+        for (const auto& read : per_rank[lib]) rank_reads[r][lib].append(read);
     }
+    resume_state.reads.clear();
   }
   if (rank_reads.size() != p) rank_reads = make_rank_reads(libraries.size());
   for (auto& per_rank : rank_reads) {
     if (per_rank.size() < libraries.size())
-      per_rank.resize(libraries.size(), seq::ReadStore(config_.packed_reads));
-    // Ingest is over: drop the arenas' growth slack (no-op for plain
-    // stores) so resident read memory is what the bench reports.
+      per_rank.resize(libraries.size());
+    // Ingest is over: drop the arenas' growth slack so resident read
+    // memory is what the bench reports.
     for (auto& store : per_rank) store.shrink_to_fit();
   }
 
@@ -430,8 +427,7 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
   if (progress < ckpt::kProgressReads) {
     snapshot_stage(stages, ckpt::kStageReads, aux, [&](pgas::Rank& rank) {
       const auto& mine = rank_reads[static_cast<std::size_t>(rank.id())];
-      return config_.packed_reads ? ckpt::encode_packed_reads_shard(mine)
-                                  : ckpt::encode_reads_shard(mine);
+      return ckpt::encode_packed_reads_shard(mine);
     });
   }
 
@@ -612,18 +608,18 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
         io::wire::Writer to_root(outgoing[0]);
         for (std::size_t i = 0; i < mine.size(); ++i) {
           to_root.put_bytes(mine.name(i));
-          to_root.put_bytes(mine.seq(i, seq_scratch));
-          to_root.put_bytes(mine.quals(i, qual_scratch));
+          to_root.put_bytes(mine[i].seq(seq_scratch));
+          to_root.put_bytes(mine[i].quals(qual_scratch));
         }
         if (!rank.is_root()) mine.clear();
         const auto gathered = rank.alltoallv(outgoing);
         if (rank.is_root()) {
-          seq::ReadStore all(config_.packed_reads);
+          seq::PackedReads all;
           io::wire::Reader rd(gathered);
           while (!rd.done()) {
             auto read = io::wire::get_read(rd);
             if (rd.truncated()) break;
-            all.append(std::move(read));
+            all.append(read);
           }
           mine = std::move(all);
         }

@@ -21,8 +21,8 @@
 #include "scaffold/links.hpp"
 #include "scaffold/ordering.hpp"
 #include "scaffold/sequence_builder.hpp"
+#include "seq/packed_read_arena.hpp"
 #include "seq/read.hpp"
-#include "seq/read_store.hpp"
 #include "util/stats.hpp"
 
 /// End-to-end HipMer pipeline driver.
@@ -73,16 +73,12 @@ struct PipelineConfig {
   /// scaffolding steps must be performed on a single shared memory node").
   bool serial_scaffolding = false;
 
-  /// Keep resident reads in the 2-bit PackedReads arena instead of
-  /// std::vector<seq::Read> (--packed-reads). Perf/memory-only: every stage
-  /// reads through ReadSetView, so output is byte-identical either way —
-  /// which is why this knob stays out of the config fingerprint.
-  bool packed_reads = false;
   /// After each round's alignment, redistribute read pairs so each rank
   /// owns the reads that align to its contigs (--shuffle-reads); gap
-  /// closing's read projections then become mostly local. Perf-only and
-  /// fingerprint-excluded for the same reason. Ignored under
-  /// serial_scaffolding (rank 0 already holds everything).
+  /// closing's read projections then become mostly local. Perf-only: the
+  /// output is byte-identical either way, which is why this knob stays out
+  /// of the config fingerprint. Ignored under serial_scaffolding (rank 0
+  /// already holds everything).
   bool shuffle_reads = false;
 
   /// Machine model used for the modeled-seconds column of reports.
@@ -252,11 +248,11 @@ class Pipeline {
       const std::vector<seq::ReadLibrary>& libraries) const;
 
  private:
-  /// Per-rank, per-library read shares (plain or packed per
-  /// config_.packed_reads).
-  using RankReads = std::vector<std::vector<seq::ReadStore>>;
+  /// Per-rank, per-library read shares, resident in 2-bit PackedReads
+  /// arenas from ingest to the last gap-closing round.
+  using RankReads = std::vector<std::vector<seq::PackedReads>>;
 
-  /// RankReads sized for this team with every store's representation set.
+  /// Empty RankReads sized for this team.
   [[nodiscard]] RankReads make_rank_reads(std::size_t nlibs) const;
 
   [[nodiscard]] PipelineResult assemble(

@@ -22,11 +22,12 @@ struct PairGroup {
 };
 
 /// Streaming twin of encode_shuffle_group: same wire bytes, sourced from a
-/// ReadStore without materializing seq::Read objects. wirecheck diffs both
-/// writers against the reader, so the two cannot drift apart silently.
+/// PackedReads arena without materializing seq::Read objects. wirecheck
+/// diffs both writers against the reader, so the two cannot drift apart
+/// silently.
 // wire-schema: shuffle_group writer
 std::vector<std::byte> encode_group(const PairGroup& g,
-                                    const seq::ReadStore& store) {
+                                    const seq::PackedReads& store) {
   std::vector<std::byte> buf;
   io::wire::Writer w(buf);
   w.put_u32(g.lib);
@@ -35,8 +36,8 @@ std::vector<std::byte> encode_group(const PairGroup& g,
   std::string qual_scratch;
   for (const std::uint32_t idx : g.read_idx) {
     w.put_bytes(store.name(idx));
-    w.put_bytes(store.seq(idx, seq_scratch));
-    w.put_bytes(store.quals(idx, qual_scratch));
+    w.put_bytes(store[idx].seq(seq_scratch));
+    w.put_bytes(store[idx].quals(qual_scratch));
   }
   w.put_u32(static_cast<std::uint32_t>(g.alignments.size()));
   for (const auto& a : g.alignments) align::put_alignment(w, a);
@@ -88,7 +89,7 @@ ShuffleGroup decode_shuffle_group(const std::byte* data, std::size_t size) {
 
 void shuffle_reads_by_alignment(
     pgas::Rank& rank, pgas::ShuffleExchange& exchange,
-    std::vector<seq::ReadStore>& my_libs,
+    std::vector<seq::PackedReads>& my_libs,
     std::vector<align::ReadAlignment>& my_alignments, ReadShuffleStats* stats) {
   const int me = rank.id();
   const auto p = static_cast<std::uint64_t>(rank.nranks());
@@ -189,9 +190,7 @@ void shuffle_reads_by_alignment(
   auto incoming = exchange.collect(rank);
 
   // ---- Rebuild: stayers first, then incoming (src asc, send order). ----
-  std::vector<seq::ReadStore> fresh;
-  fresh.reserve(my_libs.size());
-  for (const auto& store : my_libs) fresh.emplace_back(store.packed());
+  std::vector<seq::PackedReads> fresh(my_libs.size());
   std::vector<align::ReadAlignment> fresh_aligns;
 
   // Decode the whole record before touching any store: a malformed record

@@ -6,8 +6,8 @@
 
 #include "align/alignment.hpp"
 #include "pgas/shuffle.hpp"
+#include "seq/packed_read_arena.hpp"
 #include "seq/read.hpp"
-#include "seq/read_store.hpp"
 
 /// Locality-aware read shuffle (--shuffle-reads).
 ///
@@ -60,13 +60,13 @@ struct ShuffleGroup {
 [[nodiscard]] ShuffleGroup decode_shuffle_group(const std::byte* data,
                                                 std::size_t size);
 
-/// Collective over the team. Replaces `my_libs` (per-library stores; the
-/// rebuilt stores keep each store's packed/plain representation) and
-/// `my_alignments` with the post-shuffle ownership. Records are exchanged
-/// through `exchange` (construct one per call, in the serial context).
+/// Collective over the team. Replaces `my_libs` (per-library packed
+/// arenas) and `my_alignments` with the post-shuffle ownership. Records are
+/// exchanged through `exchange` (construct one per call, in the serial
+/// context).
 void shuffle_reads_by_alignment(pgas::Rank& rank,
                                 pgas::ShuffleExchange& exchange,
-                                std::vector<seq::ReadStore>& my_libs,
+                                std::vector<seq::PackedReads>& my_libs,
                                 std::vector<align::ReadAlignment>& my_alignments,
                                 ReadShuffleStats* stats = nullptr);
 

@@ -10,7 +10,7 @@
 #include "scaffold/insert_size.hpp"
 #include "scaffold/types.hpp"
 #include "seq/read.hpp"
-#include "seq/read_store.hpp"
+#include "seq/read_set_view.hpp"
 
 /// §4.8 — gap closing.
 ///

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "seq/kmer.hpp"
-#include "seq/packed_reads.hpp"
+#include "seq/packed_read_arena.hpp"
 
 /// Zero-allocation rolling canonical k-mer scanner.
 ///

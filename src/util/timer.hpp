@@ -1,15 +1,12 @@
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
-#include <vector>
 
 /// Wall-clock timing utilities.
 ///
 /// Bench binaries report two time axes: measured wall seconds for runs that
 /// fit this host, and modeled seconds from pgas::MachineModel for the
-/// paper-scale axes. These classes provide the former.
+/// paper-scale axes. WallTimer provides the former.
 namespace hipmer::util {
 
 /// Monotonic stopwatch.
@@ -27,59 +24,6 @@ class WallTimer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates named stage durations, preserving first-seen order.
-///
-/// Used by the pipeline driver to print the per-stage breakdown that
-/// Figure 8 of the paper reports (k-mer analysis / contig generation /
-/// scaffolding fractions).
-class StageTimer {
- public:
-  /// Add `seconds` to stage `name`, creating it on first use.
-  void add(const std::string& name, double seconds) {
-    auto it = index_.find(name);
-    if (it == index_.end()) {
-      index_.emplace(name, stages_.size());
-      stages_.emplace_back(name, seconds);
-    } else {
-      stages_[it->second].second += seconds;
-    }
-  }
-
-  /// Run `fn` and charge its wall time to stage `name`.
-  template <typename Fn>
-  auto time(const std::string& name, Fn&& fn) {
-    WallTimer t;
-    if constexpr (std::is_void_v<decltype(fn())>) {
-      fn();
-      add(name, t.seconds());
-    } else {
-      auto result = fn();
-      add(name, t.seconds());
-      return result;
-    }
-  }
-
-  [[nodiscard]] double total() const {
-    double sum = 0;
-    for (const auto& [name, secs] : stages_) sum += secs;
-    return sum;
-  }
-
-  [[nodiscard]] double get(const std::string& name) const {
-    auto it = index_.find(name);
-    return it == index_.end() ? 0.0 : stages_[it->second].second;
-  }
-
-  [[nodiscard]] const std::vector<std::pair<std::string, double>>& stages()
-      const {
-    return stages_;
-  }
-
- private:
-  std::vector<std::pair<std::string, double>> stages_;
-  std::map<std::string, std::size_t> index_;
 };
 
 }  // namespace hipmer::util

@@ -15,6 +15,7 @@
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/manifest.hpp"
 #include "ckpt/snapshot_store.hpp"
+#include "io/wire.hpp"
 #include "pgas/fault.hpp"
 #include "pipeline/pipeline.hpp"
 #include "seq/dna.hpp"
@@ -49,6 +50,30 @@ void spit(const fs::path& path, const std::vector<std::byte>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<seq::PackedReads> pack(
+    const std::vector<std::vector<seq::Read>>& libs) {
+  std::vector<seq::PackedReads> packed(libs.size());
+  for (std::size_t lib = 0; lib < libs.size(); ++lib)
+    for (const auto& read : libs[lib]) packed[lib].append(read);
+  return packed;
+}
+
+/// The retired "RDS1" string reads shard, byte for byte as earlier releases
+/// wrote it: magic, u32 nlibs, then per library a u64 count and that many
+/// length-prefixed (name, seq, quals) records.
+std::vector<std::byte> encode_rds1_reads_shard(
+    const std::vector<std::vector<seq::Read>>& libs) {
+  std::vector<std::byte> buf;
+  io::wire::Writer w(buf);
+  w.put_u32(0x31534452);  // "RDS1"
+  w.put_u32(static_cast<std::uint32_t>(libs.size()));
+  for (const auto& reads : libs) {
+    w.put_u64(reads.size());
+    for (const auto& read : reads) io::wire::put_read(w, read);
+  }
+  return buf;
 }
 
 // ---- CRC-32C ----
@@ -218,14 +243,15 @@ TEST(Artifacts, ReadsRoundTripAndTruncation) {
   libs[0].push_back(seq::Read{"lib0:0/0", "ACGT", "IIII"});
   libs[0].push_back(seq::Read{"lib0:0/1", "TTTT", "IIII"});
   libs[1].push_back(seq::Read{"weird name \t\n", "N", ""});
-  const auto bytes = ckpt::encode_reads_shard(libs);
+  const auto bytes = ckpt::encode_packed_reads_shard(pack(libs));
   const auto back = ckpt::decode_reads_shard(bytes);
   ASSERT_TRUE(back.has_value());
-  ASSERT_EQ(back->size(), 2u);
-  EXPECT_EQ((*back)[0][1].seq, "TTTT");
-  EXPECT_EQ((*back)[1][0].name, "weird name \t\n");
+  EXPECT_EQ(*back, libs);
   expect_truncations_rejected(bytes, ckpt::decode_reads_shard);
   EXPECT_FALSE(ckpt::decode_ufx_shard(bytes).has_value());  // wrong magic
+  // The retired string shard is well-formed but no longer decodable.
+  EXPECT_FALSE(
+      ckpt::decode_reads_shard(encode_rds1_reads_shard(libs)).has_value());
 }
 
 TEST(Artifacts, ReshardReadsPreservesPairsAndIsIdentityForSameTeam) {
@@ -243,12 +269,8 @@ TEST(Artifacts, ReshardReadsPreservesPairsAndIsIdentityForSameTeam) {
       shards[pair % writers][0].push_back(std::move(r));
     }
   }
-  // Same team size: identity (compare via the canonical encoding).
-  const auto same = ckpt::reshard_reads(shards, writers);
-  ASSERT_EQ(same.size(), shards.size());
-  for (int s = 0; s < writers; ++s)
-    EXPECT_EQ(ckpt::encode_reads_shard(same[static_cast<std::size_t>(s)]),
-              ckpt::encode_reads_shard(shards[static_cast<std::size_t>(s)]));
+  // Same team size: identity.
+  EXPECT_EQ(ckpt::reshard_reads(shards, writers), shards);
 
   const auto resharded = ckpt::reshard_reads(shards, 3);
   ASSERT_EQ(resharded.size(), 3u);
@@ -570,30 +592,70 @@ TEST(Checkpoint, KillDuringRestoreThenResumeAgain) {
   fs::remove_all(dir);
 }
 
+/// Rewrite every shard of the newest reads snapshot in the retired "RDS1"
+/// string format and re-seal the manifest, so each shard passes its CRC
+/// check and only the decoder can reject it.
+void rewrite_reads_snapshot_as_rds1(const fs::path& dir) {
+  ckpt::SnapshotStore store(dir.string());
+  auto manifest = store.load_manifest();
+  ASSERT_TRUE(manifest.has_value());
+  ckpt::StageEntry* reads = nullptr;
+  for (auto& e : manifest->entries)
+    if (e.stage == ckpt::kStageReads &&
+        (reads == nullptr || e.seq > reads->seq))
+      reads = &e;
+  ASSERT_NE(reads, nullptr);
+  for (std::uint32_t s = 0; s < reads->shard_count; ++s) {
+    const auto payload = store.read_shard(*reads, s);
+    ASSERT_TRUE(payload.has_value());
+    const auto libs = ckpt::decode_reads_shard(*payload);
+    ASSERT_TRUE(libs.has_value());
+    const auto rds1 = encode_rds1_reads_shard(*libs);
+    spit(store.shard_path(*reads, s), rds1);
+    reads->shard_bytes[s] = rds1.size();
+    reads->shard_crcs[s] = util::crc32c(rds1.data(), rds1.size());
+    ASSERT_TRUE(store.read_shard(*reads, s).has_value());
+  }
+  ASSERT_TRUE(store.write_manifest(*manifest));
+}
+
 TEST(Checkpoint, CorruptShardFallsBackToEarlierStage) {
   auto ds = sim::make_human_like(20000, 4242, 15.0);
-  const auto dir = fresh_dir("corrupt");
-  const auto cfg = ckpt_config(dir);
-  pipeline::Pipeline writer(pgas::Topology{4, 2}, cfg);
-  const auto expected = writer.run(ds.reads, ds.libraries);
+  // A flipped byte in the newest scaffolds shard fails its CRC, so resume
+  // falls back to the round's alignments, which also load the reads. Run
+  // once with the reads snapshot intact, and once with it rewritten
+  // CRC-valid in the retired "RDS1" format: that one fails to decode, and
+  // since every later stage depends on it, the run recomputes from scratch.
+  for (const bool retired_reads : {false, true}) {
+    const auto dir = fresh_dir("corrupt");
+    const auto cfg = ckpt_config(dir);
+    pipeline::Pipeline writer(pgas::Topology{4, 2}, cfg);
+    const auto expected = writer.run(ds.reads, ds.libraries);
 
-  // Flip one byte in a shard of the newest scaffolds snapshot.
-  fs::path victim_shard;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (!e.is_directory()) continue;
-    if (e.path().filename().string().rfind("scaffolds.0.", 0) == 0)
-      victim_shard = e.path() / "shard.1";
+    fs::path victim_shard;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      if (!e.is_directory()) continue;
+      if (e.path().filename().string().rfind("scaffolds.0.", 0) == 0)
+        victim_shard = e.path() / "shard.1";
+    }
+    ASSERT_FALSE(victim_shard.empty());
+    auto bytes = slurp(victim_shard);
+    ASSERT_FALSE(bytes.empty());
+    bytes[bytes.size() / 2] ^= std::byte{0x40};
+    spit(victim_shard, bytes);
+    if (retired_reads) {
+      ASSERT_NO_FATAL_FAILURE(rewrite_reads_snapshot_as_rds1(dir));
+    }
+
+    pipeline::Pipeline recovery(pgas::Topology{4, 2}, cfg);
+    const auto resumed = recovery.resume(ds.reads, ds.libraries);
+    const char* what = retired_reads ? "RDS1 reads" : "corrupt shard";
+    expect_same_scaffolds(expected.scaffolds, resumed.scaffolds, what);
+    EXPECT_EQ(resumed.wall_for(pipeline::kStageKmerAnalysis) > 0.0,
+              retired_reads)
+        << what;
+    fs::remove_all(dir);
   }
-  ASSERT_FALSE(victim_shard.empty());
-  auto bytes = slurp(victim_shard);
-  ASSERT_FALSE(bytes.empty());
-  bytes[bytes.size() / 2] ^= std::byte{0x40};
-  spit(victim_shard, bytes);
-
-  pipeline::Pipeline recovery(pgas::Topology{4, 2}, cfg);
-  const auto resumed = recovery.resume(ds.reads, ds.libraries);
-  expect_same_scaffolds(expected.scaffolds, resumed.scaffolds, "corrupt shard");
-  fs::remove_all(dir);
 }
 
 TEST(Checkpoint, CorruptManifestRecomputesFromScratch) {

@@ -1,9 +1,9 @@
 // PackedReads property tests: 2-bit pack → decode is byte-exact on
 // arbitrary inputs (N bases, lowercase, boundary lengths), qual RLE is the
-// identity, the packed-word k-mer scanner matches the string scanner, the
-// ReadStore accessors agree across representations, the checkpoint codecs
-// round-trip, and the packed arena actually delivers the memory reduction
-// the bench reports.
+// identity, the packed-word k-mer scanner matches the string scanner, a
+// ReadSetView over the arena agrees with one over the original records, the
+// checkpoint codec round-trips, and the packed arena actually delivers the
+// memory reduction the bench reports.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,8 @@
 
 #include "ckpt/artifacts.hpp"
 #include "seq/kmer_scanner.hpp"
-#include "seq/packed_reads.hpp"
-#include "seq/read_store.hpp"
+#include "seq/packed_read_arena.hpp"
+#include "seq/read_set_view.hpp"
 
 namespace hipmer::seq {
 namespace {
@@ -277,76 +277,61 @@ TEST(PackedReads, ScannerMatchesStringScanner) {
   }
 }
 
-TEST(ReadStore, RepresentationsAgree) {
+TEST(PackedReads, RepresentationsAgree) {
   std::mt19937 rng(41);
-  ReadStore packed(true);
-  ReadStore plain(false);
+  PackedReads arena;
   std::vector<Read> originals;
   for (int i = 0; i < 100; ++i) {
     Read r;
     r.name = "lib0:" + std::to_string(i / 2) + "/" + std::to_string(i % 2);
     r.seq = random_seq(rng, 120, 0.02, 0.0);
     r.quals = random_quals(rng, r.seq.size());
-    packed.append(r);
-    plain.append(r);
+    arena.append(r);
     originals.push_back(std::move(r));
   }
-  ASSERT_EQ(packed.size(), plain.size());
+  const ReadSetView packed(arena);
+  const ReadSetView plain(originals);
+  ASSERT_EQ(packed.size(), originals.size());
   std::string s1, s2, q1, q2;
   for (std::size_t i = 0; i < packed.size(); ++i) {
-    EXPECT_EQ(packed.name(i), plain.name(i));
+    EXPECT_EQ(packed.name(i), originals[i].name);
     EXPECT_EQ(packed.length(i), plain.length(i));
-    EXPECT_EQ(packed.seq(i, s1), plain.seq(i, s2));
-    EXPECT_EQ(packed.quals(i, q1), plain.quals(i, q2));
+    // Byte-exact round trip back to the original record.
+    EXPECT_EQ(packed.seq(i, s1), originals[i].seq);
+    EXPECT_EQ(packed.quals(i, q1), originals[i].quals);
+    EXPECT_EQ(plain.seq(i, s2), originals[i].seq);
+    EXPECT_EQ(plain.quals(i, q2), originals[i].quals);
     for (std::uint32_t pos = 0; pos < packed.length(i); pos += 7)
       EXPECT_EQ(packed.code(i, pos), plain.code(i, pos));
   }
-  // Materialization returns the original records either way.
-  EXPECT_EQ(packed.to_reads(), originals);
-  EXPECT_EQ(plain.to_reads(), originals);
 }
 
-TEST(ReadStore, CheckpointCodecsRoundTrip) {
+TEST(PackedReads, CheckpointCodecRoundTrip) {
   std::mt19937 rng(51);
-  std::vector<seq::ReadStore> packed_libs;
-  std::vector<seq::ReadStore> plain_libs;
+  std::vector<PackedReads> libs(2);
   std::vector<std::vector<Read>> originals(2);
+  std::size_t string_bytes = 0;
   for (int lib = 0; lib < 2; ++lib) {
-    packed_libs.emplace_back(true);
-    plain_libs.emplace_back(false);
     for (int i = 0; i < 40; ++i) {
       Read r;
       r.name = "lib" + std::to_string(lib) + ":" + std::to_string(i / 2) + "/" +
                std::to_string(i % 2);
       r.seq = random_seq(rng, 100, 0.03, 0.0);
       r.quals = random_quals(rng, r.seq.size());
-      packed_libs[static_cast<std::size_t>(lib)].append(r);
-      plain_libs[static_cast<std::size_t>(lib)].append(r);
+      string_bytes += r.name.size() + r.seq.size() + r.quals.size();
+      libs[static_cast<std::size_t>(lib)].append(r);
       originals[static_cast<std::size_t>(lib)].push_back(std::move(r));
     }
   }
 
-  // Packed shard ("RDP1") decodes back to the exact records.
-  const auto packed_bytes = ckpt::encode_packed_reads_shard(packed_libs);
-  const auto decoded = ckpt::decode_reads_shard(packed_bytes);
+  // The "RDP1" shard decodes back to the exact records.
+  const auto bytes = ckpt::encode_packed_reads_shard(libs);
+  const auto decoded = ckpt::decode_reads_shard(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, originals);
 
-  // A plain store repacked on the fly produces the identical payload.
-  EXPECT_EQ(ckpt::encode_packed_reads_shard(plain_libs), packed_bytes);
-
-  // The string shard written from stores matches the vector<Read> writer
-  // byte for byte, so snapshots are interchangeable.
-  EXPECT_EQ(ckpt::encode_reads_shard(packed_libs),
-            ckpt::encode_reads_shard(originals));
-  const auto plain_decoded =
-      ckpt::decode_reads_shard(ckpt::encode_reads_shard(plain_libs));
-  ASSERT_TRUE(plain_decoded.has_value());
-  EXPECT_EQ(*plain_decoded, originals);
-
-  // And the packed shard is meaningfully smaller.
-  EXPECT_LT(packed_bytes.size(),
-            ckpt::encode_reads_shard(originals).size() / 2);
+  // And it is meaningfully smaller than the records' characters.
+  EXPECT_LT(bytes.size(), string_bytes / 2);
 }
 
 // Binned-and-bursty qualities, the model modern basecallers emit (a few
@@ -364,24 +349,37 @@ std::string binned_quals(std::mt19937& rng, std::size_t len) {
   return s;
 }
 
-TEST(ReadStore, PackedMemoryIsAtLeastThreeTimesSmaller) {
+/// Capacity-true resident bytes of a `std::vector<Read>`: strings that fit
+/// the small-string buffer live inside the Read; longer ones add their heap
+/// block (capacity + terminator).
+std::size_t read_vector_bytes(const std::vector<Read>& reads) {
+  std::size_t bytes = sizeof(reads) + reads.capacity() * sizeof(Read);
+  const std::size_t sso = std::string().capacity();
+  for (const auto& r : reads)
+    for (const std::string* str : {&r.name, &r.seq, &r.quals})
+      if (str->capacity() > sso) bytes += str->capacity() + 1;
+  return bytes;
+}
+
+TEST(PackedReads, PackedMemoryIsAtLeastThreeTimesSmaller) {
   std::mt19937 rng(61);
-  ReadStore packed(true);
-  ReadStore plain(false);
+  PackedReads packed;
+  std::vector<Read> plain;
   for (int i = 0; i < 20000; ++i) {
     Read r;
     r.name = "lib0:" + std::to_string(i / 2) + "/" + std::to_string(i % 2);
     r.seq = random_seq(rng, 150, 0.005, 0.0);
     r.quals = binned_quals(rng, 150);
     packed.append(r);
-    plain.append(std::move(r));
+    plain.push_back(std::move(r));
   }
-  // The pipeline compacts packed arenas after ingest; the plain store is
-  // measured as built, which is exactly what the seed pipeline held.
+  // The pipeline compacts packed arenas after ingest; the vector is
+  // measured as built.
   packed.shrink_to_fit();
-  const double ratio = static_cast<double>(plain.memory_bytes()) /
+  const std::size_t plain_bytes = read_vector_bytes(plain);
+  const double ratio = static_cast<double>(plain_bytes) /
                        static_cast<double>(packed.memory_bytes());
-  EXPECT_GE(ratio, 3.0) << "plain=" << plain.memory_bytes()
+  EXPECT_GE(ratio, 3.0) << "plain=" << plain_bytes
                         << " packed=" << packed.memory_bytes();
 }
 

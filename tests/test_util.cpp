@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "util/hash.hpp"
 #include "util/options.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace hipmer::util {
 namespace {
@@ -90,22 +91,6 @@ TEST(Options, ParsesFormsAndFallbacks) {
   EXPECT_EQ(opts.get("missing", "dflt"), "dflt");
   ASSERT_EQ(opts.positional().size(), 1u);
   EXPECT_EQ(opts.positional()[0], "pos1");
-}
-
-TEST(Timer, StageAccumulation) {
-  StageTimer timer;
-  timer.add("a", 1.0);
-  timer.add("b", 2.0);
-  timer.add("a", 0.5);
-  EXPECT_DOUBLE_EQ(timer.get("a"), 1.5);
-  EXPECT_DOUBLE_EQ(timer.get("b"), 2.0);
-  EXPECT_DOUBLE_EQ(timer.total(), 3.5);
-  // First-seen order preserved.
-  ASSERT_EQ(timer.stages().size(), 2u);
-  EXPECT_EQ(timer.stages()[0].first, "a");
-  const int v = timer.time("c", [] { return 7; });
-  EXPECT_EQ(v, 7);
-  EXPECT_GE(timer.get("c"), 0.0);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 #include "pgas/map_wire.hpp"
 #include "pgas/transport.hpp"
 #include "pipeline/read_shuffle.hpp"
-#include "seq/read_store.hpp"
+#include "seq/packed_read_arena.hpp"
 #include "server/artifact_cache.hpp"
 #include "server/journal.hpp"
 #include "server/protocol.hpp"
@@ -233,42 +233,23 @@ inline std::vector<WireSweepCase> wire_sweep_cases() {
                      }});
   }
 
-  // ---- ckpt: reads shard (plain) ----
-  {
-    std::vector<std::vector<seq::Read>> libs(2);
-    libs[0] = {sample_read(0), sample_read(1)};
-    libs[1] = {sample_read(2)};
-    cases.push_back({"ckpt_reads_shard", ckpt::encode_reads_shard(libs),
-                     [](const Bytes& b) {
-                       return guard([&]() -> Fingerprint {
-                         auto libs2 = ckpt::decode_reads_shard(b);
-                         if (!libs2) return std::nullopt;
-                         return ckpt::encode_reads_shard(*libs2);
-                       });
-                     }});
-  }
-
   // ---- ckpt: reads shard (packed) ----
   {
-    std::vector<seq::ReadStore> stores;
-    stores.emplace_back(true);
-    stores.back().append(sample_read(0));
-    stores.back().append(sample_read(1));
-    stores.emplace_back(true);
-    stores.back().append(sample_read(2));
+    std::vector<seq::PackedReads> libs(2);
+    libs[0].append(sample_read(0));
+    libs[0].append(sample_read(1));
+    libs[1].append(sample_read(2));
     cases.push_back({"ckpt_packed_reads_shard",
-                     ckpt::encode_packed_reads_shard(stores),
+                     ckpt::encode_packed_reads_shard(libs),
                      [](const Bytes& b) {
                        return guard([&]() -> Fingerprint {
-                         auto libs = ckpt::decode_reads_shard(b);
-                         if (!libs) return std::nullopt;
-                         std::vector<seq::ReadStore> stores2;
-                         for (const auto& reads : *libs) {
-                           stores2.emplace_back(true);
-                           for (const auto& read : reads)
-                             stores2.back().append(read);
-                         }
-                         return ckpt::encode_packed_reads_shard(stores2);
+                         auto reads = ckpt::decode_reads_shard(b);
+                         if (!reads) return std::nullopt;
+                         std::vector<seq::PackedReads> libs2(reads->size());
+                         for (std::size_t l = 0; l < reads->size(); ++l)
+                           for (const auto& read : (*reads)[l])
+                             libs2[l].append(read);
+                         return ckpt::encode_packed_reads_shard(libs2);
                        });
                      }});
   }

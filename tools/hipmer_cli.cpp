@@ -35,6 +35,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "io/fastq.hpp"
 #include "io/seqdb.hpp"
 #include "kcount/kmer_analysis.hpp"
@@ -60,7 +64,7 @@ int usage() {
                "--insert N --scaffold-only]...\n"
                "                  [--k 31] [--ranks 16] [--rounds 1] "
                "[--diploid] [--min-count auto|N] [--out FILE]\n"
-               "                  [--packed-reads] [--shuffle-reads]\n"
+               "                  [--shuffle-reads]\n"
                "                  [--checkpoint-dir DIR [--resume] "
                "[--keep-last N] [--checkpoint-rounds-only]]\n"
                "                  [--chaos-spec "
@@ -185,9 +189,8 @@ int cmd_assemble(int argc, char** argv) {
   cfg.k = k;
   cfg.scaffolding_rounds = static_cast<int>(opts.get_int("rounds", 1));
   cfg.merge_bubbles = opts.get_bool("diploid", false);
-  // Perf knobs: 2-bit resident reads, and the post-alignment locality
-  // shuffle. Neither changes the assembly output.
-  cfg.packed_reads = opts.get_bool("packed-reads", false);
+  // Perf knob: the post-alignment locality shuffle. It does not change the
+  // assembly output.
   cfg.shuffle_reads = opts.get_bool("shuffle-reads", false);
   cfg.kmer.min_count = *min_count;
   cfg.checkpoint.dir = opts.get("checkpoint-dir", "");
@@ -529,6 +532,19 @@ int cmd_convert(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // Pin glibc's mmap threshold. Left dynamic, it rises to the largest
+  // mapped block freed so far, and whether a later multi-MB table (a
+  // seed-index shard) then reuses freed heap pages or maps fresh ones
+  // depends on the input's allocation history: peak RSS of one workload
+  // jumped by ~10 MB from one input to the next. Pinned, every block of
+  // 512 KiB or more is mapped on allocation and returned on free, so peak
+  // RSS follows live memory, at a few percent of wall time. 512 KiB, not
+  // glibc's 128 KiB default, keeps k-mer analysis's ~260 KB per-rank chunk
+  // buffers on the heap; mapping them fresh every pass slowed a run on a
+  // near-empty input by ~8%.
+  mallopt(M_MMAP_THRESHOLD, 512 * 1024);
+#endif
   if (argc < 2) return usage();
   // Workers are spawned by execv of this binary; resolve the stable path
   // (argv[0] may be relative to a cwd a worker no longer shares).
