@@ -2,23 +2,37 @@
 
 #include <cmath>
 #include <unordered_map>
+#include <vector>
 
 namespace hipmer::scaffold {
 
 InsertSizeEstimate estimate_insert_size(
     pgas::Rank& rank, const std::vector<align::ReadAlignment>& my_alignments,
     int library, double full_fraction) {
-  // Best full-length alignment per (pair, mate) on this rank.
-  struct PairBest {
-    align::ReadAlignment mate[2];
-    bool have[2] = {false, false};
-  };
-  std::unordered_map<std::uint64_t, PairBest> pairs;
+  // Exchange full-length alignments so both mates of a pair meet on rank
+  // pair % P: ingest splits files at record boundaries, so a pair's mates
+  // may have been read by different ranks.
+  const auto p = static_cast<std::uint64_t>(rank.nranks());
+  std::vector<std::vector<align::ReadAlignment>> outgoing(
+      static_cast<std::size_t>(rank.nranks()));
   for (const auto& a : my_alignments) {
     if (a.library != library) continue;
     if (a.aligned_len() <
         static_cast<std::int32_t>(full_fraction * a.read_len))
       continue;
+    outgoing[static_cast<std::size_t>(a.pair_id % p)].push_back(a);
+  }
+  const auto incoming = rank.alltoallv(outgoing);
+
+  // Best full-length alignment per (pair, mate). A read's alignments all
+  // come from the rank that read it, in the aligner's order, so ties keep
+  // the first one wherever the read was placed.
+  struct PairBest {
+    align::ReadAlignment mate[2];
+    bool have[2] = {false, false};
+  };
+  std::unordered_map<std::uint64_t, PairBest> pairs;
+  for (const auto& a : incoming) {
     auto& pb = pairs[a.pair_id];
     const auto m = static_cast<std::size_t>(a.mate);
     auto prefer = [](const align::ReadAlignment& x,

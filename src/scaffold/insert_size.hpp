@@ -21,11 +21,11 @@ struct InsertSizeEstimate {
   std::uint64_t samples = 0;
 };
 
-/// Collective. `my_alignments` are the alignments this rank produced for
-/// library `library`; pairs whose mates landed on different ranks are
-/// simply not sampled (sampling is the paper's approach too). Requires
-/// full-length alignments (>= `full_fraction` of the read) on a common
-/// contig in FR orientation.
+/// Collective. `my_alignments` are the alignments this rank produced;
+/// only those of library `library` are sampled. Mates are brought
+/// together on one rank first, so the estimate does not depend on where
+/// ingest placed the reads. Requires full-length alignments
+/// (>= `full_fraction` of the read) on a common contig in FR orientation.
 [[nodiscard]] InsertSizeEstimate estimate_insert_size(
     pgas::Rank& rank, const std::vector<align::ReadAlignment>& my_alignments,
     int library, double full_fraction = 0.95);

@@ -26,13 +26,17 @@ Outward outward_of(const align::ReadAlignment& a) {
 std::vector<LinkObservation> locate_splints(
     pgas::Rank& rank, const std::vector<align::ReadAlignment>& my_alignments,
     int end_slack) {
-  // Group alignments per read (pair, mate); the aligner emits them
-  // contiguously but sorting keeps this robust to reordering.
+  // Group alignments per read (library, pair, mate); the aligner emits
+  // them contiguously but sorting keeps this robust to reordering. The
+  // library is part of the read's identity: libraries number their pairs
+  // independently, so two reads of different libraries may share a rank
+  // with equal (pair, mate).
   std::vector<const align::ReadAlignment*> sorted;
   sorted.reserve(my_alignments.size());
   for (const auto& a : my_alignments) sorted.push_back(&a);
   std::sort(sorted.begin(), sorted.end(),
             [](const align::ReadAlignment* x, const align::ReadAlignment* y) {
+              if (x->library != y->library) return x->library < y->library;
               if (x->pair_id != y->pair_id) return x->pair_id < y->pair_id;
               if (x->mate != y->mate) return x->mate < y->mate;
               if (x->read_start != y->read_start)
@@ -45,7 +49,8 @@ std::vector<LinkObservation> locate_splints(
   std::size_t i = 0;
   while (i < sorted.size()) {
     std::size_t j = i;
-    while (j < sorted.size() && sorted[j]->pair_id == sorted[i]->pair_id &&
+    while (j < sorted.size() && sorted[j]->library == sorted[i]->library &&
+           sorted[j]->pair_id == sorted[i]->pair_id &&
            sorted[j]->mate == sorted[i]->mate)
       ++j;
     // Adjacent alignment pairs in read order: A leaves contig a through its

@@ -53,15 +53,18 @@ TEST(InsertSize, RecoversMeanAndStddev) {
   std::mt19937_64 rng(3);
   std::normal_distribution<double> dist(400.0, 30.0);
   // Pairs on one big contig: mate0 fwd at s, mate1 rev ending at s+insert.
+  // Every third pair straddles a rank boundary (mate 1 was read by the
+  // next rank), as when a FASTQ split falls between two mates.
   std::vector<std::vector<ReadAlignment>> per_rank(4);
   for (int r = 0; r < 4; ++r) {
     for (int i = 0; i < 500; ++i) {
       const auto insert = static_cast<std::int32_t>(dist(rng));
       const std::int32_t s = static_cast<std::int32_t>(rng() % 50000);
       const auto pair = static_cast<std::uint64_t>(r * 1000 + i);
+      const int mate1_rank = i % 3 == 0 ? (r + 1) % 4 : r;
       per_rank[static_cast<std::size_t>(r)].push_back(
           make_alignment(pair, 0, 1, 100000, s, s + 100, true, 0, 100));
-      per_rank[static_cast<std::size_t>(r)].push_back(
+      per_rank[static_cast<std::size_t>(mate1_rank)].push_back(
           make_alignment(pair, 1, 1, 100000, s + insert - 100, s + insert,
                          false, 0, 100));
     }
@@ -124,6 +127,12 @@ TEST(Splints, RespectsOrientationAndEndConditions) {
   // Interior alignment (not at an end): no splint.
   alignments.push_back(make_alignment(3, 0, 6, 1000, 400, 460, true, 0, 60));
   alignments.push_back(make_alignment(3, 0, 7, 1000, 0, 50, true, 55, 105));
+  // Would splint contigs 8 -> 9, but the two alignments belong to reads of
+  // different libraries that share (pair, mate): no read joins them.
+  alignments.push_back(
+      make_alignment(5, 0, 8, 1000, 950, 1000, true, 0, 50, 100, 0));
+  alignments.push_back(
+      make_alignment(5, 0, 9, 1000, 0, 50, true, 50, 100, 100, 1));
   std::vector<LinkObservation> observations;
   team.run([&](pgas::Rank& rank) {
     observations = locate_splints(rank, alignments);
