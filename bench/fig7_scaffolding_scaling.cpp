@@ -34,8 +34,7 @@ void run_genome(const std::string& label, sim::Dataset& ds, int rounds,
                 int k) {
   util::TextTable table({"ranks", "aligner_s", "gapclose_s", "rest_s",
                          "total_s", "efficiency", "aligner_eff", "wall_s",
-                         "gap_offnode_msgs", "gap_offnode_shuffled",
-                         "offnode_reduction"});
+                         "gap_offnode_msgs"});
   double base_total = 0.0;
   double base_aligner = 0.0;
   int base_ranks = 0;
@@ -48,14 +47,6 @@ void run_genome(const std::string& label, sim::Dataset& ds, int rounds,
     pipeline::Pipeline pipe(scale.topology(), cfg);
     const auto result = pipe.run(ds.reads, ds.libraries);
 
-    // Same assembly with the locality-aware read shuffle: gap closing's
-    // remote read fetches become local, shrinking its off-node message
-    // count. Output is byte-identical, so only the comm counters differ.
-    pipeline::PipelineConfig shuf_cfg = cfg;
-    shuf_cfg.shuffle_reads = true;
-    pipeline::Pipeline shuf_pipe(scale.topology(), shuf_cfg);
-    const auto shuf_result = shuf_pipe.run(ds.reads, ds.libraries);
-
     const double aligner = result.modeled_for(pipeline::kStageAligner);
     const double gaps = result.modeled_for(pipeline::kStageGapClosing);
     const double rest = result.modeled_for(pipeline::kStageScaffoldRest);
@@ -66,8 +57,6 @@ void run_genome(const std::string& label, sim::Dataset& ds, int rounds,
       base_aligner = aligner;
     }
     const double ratio = static_cast<double>(scale.ranks) / base_ranks;
-    const auto gap_msgs = gap_offnode_msgs(result);
-    const auto gap_msgs_shuf = gap_offnode_msgs(shuf_result);
     table.add_row(
         {std::to_string(scale.ranks), util::TextTable::fmt(aligner, 3),
          util::TextTable::fmt(gaps, 3), util::TextTable::fmt(rest, 3),
@@ -78,18 +67,12 @@ void run_genome(const std::string& label, sim::Dataset& ds, int rounds,
                                   result.wall_for(pipeline::kStageGapClosing) +
                                   result.wall_for(pipeline::kStageScaffoldRest),
                               2),
-         std::to_string(gap_msgs), std::to_string(gap_msgs_shuf),
-         util::TextTable::fmt(gap_msgs_shuf == 0
-                                  ? 0.0
-                                  : static_cast<double>(gap_msgs) /
-                                        static_cast<double>(gap_msgs_shuf),
-                              2)});
+         std::to_string(gap_offnode_msgs(result))});
   }
   bench::emit("fig7_scaffolding_" + label,
               "Fig. 7 (" + label + "): scaffolding strong scaling — "
-              "merAligner / gap closing / rest (modeled seconds); last "
-              "columns contrast gap closing's off-node messages without vs "
-              "with --shuffle-reads",
+              "merAligner / gap closing / rest (modeled seconds), and gap "
+              "closing's off-node messages",
               table);
 }
 

@@ -24,9 +24,7 @@
 #include "dbg/contig_generator.hpp"
 #include "dbg/oracle.hpp"
 #include "kcount/kmer_analysis.hpp"
-#include "pipeline/pipeline.hpp"
 #include "seq/kmer_scanner.hpp"
-#include "sim/datasets.hpp"
 #include "sim/genome_sim.hpp"
 #include "sim/read_sim.hpp"
 #include "util/timer.hpp"
@@ -129,26 +127,6 @@ ProbeResult probe_lookups(pgas::ThreadTeam& team, dbg::ContigGenerator& gen,
   return ProbeResult{total.offnode_msgs, total.read_cache_hits};
 }
 
-/// Off-node messages charged to gap closing by a full pipeline run, with
-/// or without the locality-aware read shuffle.
-std::uint64_t pipeline_gap_offnode(const pgas::Topology& topo,
-                                   sim::Dataset& ds, bool shuffle) {
-  pipeline::PipelineConfig cfg;
-  cfg.k = 31;
-  // Wheat-style settings: the repetitive genome fragments into many
-  // contigs, so scaffolding actually has gaps to close.
-  cfg.scaffolding_rounds = 2;
-  cfg.merge_bubbles = false;
-  cfg.sync_k();
-  cfg.shuffle_reads = shuffle;
-  pipeline::Pipeline pipe(topo, cfg);
-  const auto result = pipe.run(ds.reads, ds.libraries);
-  std::uint64_t n = 0;
-  for (const auto& s : result.stages)
-    if (s.name == pipeline::kStageGapClosing) n += s.comm.offnode_msgs;
-  return n;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -179,12 +157,6 @@ int main(int argc, char** argv) {
   std::printf("Tables 1+2 reproduction: %llu bp individuals, %zu/%zu reads\n",
               static_cast<unsigned long long>(genome_len), reads1.size(),
               reads2.size());
-
-  // Smaller wheat-like dataset for the full-pipeline gap-closing off-node
-  // probe: the point is the shuffle-off/on message contrast, not assembly
-  // scale, and the repetitive genome is what leaves gaps to close.
-  auto gap_ds = sim::make_wheat_like(
-      static_cast<std::uint64_t>(opts.get_int("gap-genome", 200'000)), 823);
 
   pgas::MachineModel machine;
   // Paper concurrencies 480 and 1,920 map to our two scale points.
@@ -276,24 +248,6 @@ int main(int argc, char** argv) {
                   util::TextTable::fmt_pct(1.0 - f4 / fn)});
     }
 
-    // Same off-node story for gap closing's read fetches: without the
-    // locality-aware read shuffle a gap's supporting reads live wherever
-    // ingest placed them; with --shuffle-reads they were moved to the
-    // contig owner after alignment, so the fetch path stays on-rank. The
-    // two rows run the full pipeline shuffle-off/on on one individual's
-    // reads (assembly output is byte-identical; only comm counters move).
-    const auto gap_off = pipeline_gap_offnode(scale.topology(), gap_ds, false);
-    const auto gap_shuf = pipeline_gap_offnode(scale.topology(), gap_ds, true);
-    for (const auto& pr : {PathRow{"gapclose_fetch", gap_off},
-                           PathRow{"gapclose_fetch_shuffled", gap_shuf}}) {
-      const double vs_unshuffled =
-          static_cast<double>(gap_off) /
-          static_cast<double>(std::max<std::uint64_t>(1, pr.msgs));
-      t2.add_row({std::to_string(scale.ranks), pr.name,
-                  std::to_string(pr.msgs),
-                  util::TextTable::fmt(vs_unshuffled, 1) + "x", "-", "-", "-",
-                  "-", "-", "-", "-"});
-    }
     std::printf("[ranks=%d] oracle collision rates: 1x=%.3f 4x=%.3f, "
                 "memory: %zu KB / %zu KB; probe cache hits: %llu\n",
                 scale.ranks, oracle1.collision_rate(), oracle4.collision_rate(),
@@ -309,9 +263,7 @@ int main(int argc, char** argv) {
               "Table 2: off-node traversal lookups (paper: 92.8% no-oracle "
               "-> 54.6% oracle-1 -> 22.8% oracle-4; reductions 41-76%), "
               "plus off-node messages by lookup path "
-              "(fine / batched / batched+cache) on the oracle-4 graph, and "
-              "gap closing's read-fetch messages without vs with "
-              "--shuffle-reads",
+              "(fine / batched / batched+cache) on the oracle-4 graph",
               t2);
   return 0;
 }

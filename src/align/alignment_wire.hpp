@@ -3,8 +3,8 @@
 #include "align/alignment.hpp"
 #include "io/wire.hpp"
 
-/// Field-wise wire codec for ReadAlignment, shared by the checkpoint
-/// alignments shard and the read-shuffle exchange.
+/// Field-wise wire codec for ReadAlignment, used by the checkpoint
+/// alignments shard.
 ///
 /// ReadAlignment used to ship as a whole-struct put_pod, which serialized
 /// its padding (3 bytes after the bool, 4 at the tail): seven dead wire

@@ -16,6 +16,7 @@
 #include "io/wire.hpp"
 #include "pgas/fault.hpp"
 #include "util/hash.hpp"
+#include "util/logging.hpp"
 
 namespace hipmer::pgas {
 
@@ -165,7 +166,6 @@ struct SocketFabric::Router {
 
   void mark_down(int rank) {
     if (down_broadcast) return;
-    if (getenv("HIPMER_FABRIC_DEBUG")) fprintf(stderr, "[fabdbg %d] router mark_down rank=%d\n", (int)getpid(), rank);
     down_broadcast = true;
     Frame down;
     down.kind = FrameKind::kRankDown;
@@ -312,7 +312,6 @@ struct SocketFabric::Router {
             }
             if (n < 0 && (errno == EAGAIN || errno == EINTR)) break;
             // EOF or hard error.
-            if (getenv("HIPMER_FABRIC_DEBUG")) fprintf(stderr, "[fabdbg %d] router eof rank=%d n=%zd errno=%d\n", (int)getpid(), ranks[i], n, errno);
             c.eof = true;
             if (!c.bye) mark_down(ranks[i]);
             break;
@@ -324,7 +323,10 @@ struct SocketFabric::Router {
           } catch (const io::wire::Error& we) {
             // A corrupt byte stream from a peer is indistinguishable from
             // a dying peer: declare it down.
-            if (getenv("HIPMER_FABRIC_DEBUG")) fprintf(stderr, "[fabdbg %d] router corrupt rank=%d: %s\n", (int)getpid(), ranks[i], we.what());
+            util::log_warn("fabric router (pid " + std::to_string(getpid()) +
+                           "): corrupt frame from rank " +
+                           std::to_string(ranks[i]) + ": " + we.what() +
+                           "; marking it down");
             c.eof = true;
             if (!c.bye) mark_down(ranks[i]);
           }
@@ -517,7 +519,6 @@ void SocketFabric::read_ready() {
     if (n < 0 && (errno == EAGAIN || errno == EINTR)) break;
     // EOF / error: the router died (coordinator crashed). Treat as the
     // whole team going down.
-    if (getenv("HIPMER_FABRIC_DEBUG")) fprintf(stderr, "[fabdbg %d] endpoint rank=%d read eof n=%zd errno=%d\n", (int)getpid(), my_rank_, n, errno);
     if (down_rank_ < 0) down_rank_ = 0;
     break;
   }
@@ -540,7 +541,10 @@ void SocketFabric::pump_writes() {
       if (poll(&p, 1, 100) > 0 && (p.revents & POLLIN) != 0) read_ready();
       continue;
     }
-    if (getenv("HIPMER_FABRIC_DEBUG")) fprintf(stderr, "[fabdbg %d] endpoint rank=%d write fail errno=%d\n", (int)getpid(), my_rank_, errno);
+    util::log_warn("fabric endpoint (pid " + std::to_string(getpid()) +
+                   ", rank " + std::to_string(my_rank_) +
+                   "): write to router failed: " + std::strerror(errno) +
+                   "; treating the team as down");
     if (down_rank_ < 0) down_rank_ = 0;
     tx_.clear();
     return;
@@ -619,7 +623,6 @@ bool SocketFabric::dispatch_one() {
       serial_resp_ = decode_serial_release(f.payload.data(), f.payload.size());
       break;
     case FrameKind::kRankDown:
-      if (getenv("HIPMER_FABRIC_DEBUG")) fprintf(stderr, "[fabdbg %d] endpoint rank=%d got RANKDOWN src=%u\n", (int)getpid(), my_rank_, f.src);
       if (down_rank_ < 0) down_rank_ = static_cast<int>(f.src);
       break;
     default:

@@ -11,7 +11,6 @@
 #include "io/fastq.hpp"
 #include "io/parallel_fastq.hpp"
 #include "io/wire.hpp"
-#include "pipeline/read_shuffle.hpp"
 #include "scaffold/depths.hpp"
 #include "scaffold/insert_size.hpp"
 #include "scaffold/splints_spans.hpp"
@@ -418,8 +417,6 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
     for (auto& store : per_rank) store.shrink_to_fit();
   }
 
-  const bool shuffle_on = config_.shuffle_reads && !config_.serial_scaffolding;
-
   // Bookkeeping stats ride with every snapshot so a resumed run reports
   // them without redoing the stages that computed them.
   ckpt::AuxStats aux = resume_state.aux;
@@ -739,37 +736,9 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
       rank.barrier();
     });
 
-    // Locality shuffle (--shuffle-reads): re-deal read pairs (and their
-    // alignments) to the owners of their best-aligned contigs, so the read
-    // projections of gap closing become mostly self-sends. Output is
-    // unchanged — only message counts move.
-    if (shuffle_on) {
-      pgas::ShuffleExchange exchange(
-          team_, "pipeline.read_shuffle.r" + std::to_string(round));
-      std::vector<ReadShuffleStats> shuffle_stats(p);
-      run_stage(stages, kStageShuffle, [&](pgas::Rank& rank) {
-        const auto r = static_cast<std::size_t>(rank.id());
-        shuffle_reads_by_alignment(rank, exchange, rank_reads[r],
-                                   alignments[r], &shuffle_stats[r]);
-      });
-      std::uint64_t moved = 0;
-      std::uint64_t total = 0;
-      for (const auto& s : shuffle_stats) {
-        moved += s.pairs_moved;
-        total += s.pairs_total;
-      }
-      moved = team_.serial_sum(moved);
-      total = team_.serial_sum(total);
-      util::log_info("shuffle_reads: round " + std::to_string(round) +
-                     " moved " + std::to_string(moved) + "/" +
-                     std::to_string(total) + " pairs to their contig owners");
-    }
-
     // Gap closing (§4.8).
     const auto gaps = scaffold::enumerate_gaps(scaffolds);
-    scaffold::GapClosingConfig gap_cfg = config_.gaps;
-    gap_cfg.locality_aware_owners = shuffle_on;
-    scaffold::GapCloser closer(team_, gap_cfg);
+    scaffold::GapCloser closer(team_, config_.gaps);
     std::vector<std::vector<scaffold::Closure>> closures(p);
     run_stage(stages, kStageGapClosing, [&](pgas::Rank& rank) {
       std::vector<seq::ReadSetView> my_reads;

@@ -73,14 +73,6 @@ struct PipelineConfig {
   /// scaffolding steps must be performed on a single shared memory node").
   bool serial_scaffolding = false;
 
-  /// After each round's alignment, redistribute read pairs so each rank
-  /// owns the reads that align to its contigs (--shuffle-reads); gap
-  /// closing's read projections then become mostly local. Perf-only: the
-  /// output is byte-identical either way, which is why this knob stays out
-  /// of the config fingerprint. Ignored under serial_scaffolding (rank 0
-  /// already holds everything).
-  bool shuffle_reads = false;
-
   /// Machine model used for the modeled-seconds column of reports.
   pgas::MachineModel machine;
 
@@ -167,8 +159,6 @@ inline constexpr const char* kStageContigGen = "contig_generation";
 inline constexpr const char* kStageAligner = "merAligner";
 inline constexpr const char* kStageScaffoldRest = "rest_scaffolding";
 inline constexpr const char* kStageGapClosing = "gap_closing";
-/// Locality shuffle between alignment and gap closing (--shuffle-reads).
-inline constexpr const char* kStageShuffle = "shuffle_reads";
 /// Checkpoint snapshot writes (one report per snapshotted artifact).
 inline constexpr const char* kStageCheckpoint = "checkpoint";
 /// Checkpoint reads on resume (also the fault-injection stage name for

@@ -78,17 +78,8 @@ std::vector<Closure> GapCloser::run(
     const std::vector<seq::ReadSetView>& my_reads_by_library,
     const std::vector<align::ReadAlignment>& my_alignments,
     const std::vector<InsertSizeEstimate>& inserts) {
+  // Gaps are owned round-robin by id.
   const auto p = static_cast<std::uint64_t>(rank.nranks());
-  // Gap ownership: round-robin by id, or the left contig's owner when the
-  // shuffle has co-located aligned reads with their contigs.
-  auto gap_owner = [&](const GapSpec& gap) {
-    return config_.locality_aware_owners
-               ? static_cast<std::uint64_t>(gap.left_contig) % p
-               : gap.gap_id % p;
-  };
-  std::unordered_map<std::uint64_t, std::uint64_t> owner_of_gap;
-  owner_of_gap.reserve(gaps.size());
-  for (const auto& gap : gaps) owner_of_gap[gap.gap_id] = gap_owner(gap);
 
   // Gap-facing contig ends -> gap id (replicated, built from replicated
   // scaffolds).
@@ -134,9 +125,8 @@ std::vector<Closure> GapCloser::run(
   // and projected into the gaps"). ---
   std::vector<std::vector<std::byte>> outgoing(static_cast<std::size_t>(p));
   auto send_read = [&](std::uint64_t gap_id, std::string_view read_seq) {
-    serialize_read(
-        outgoing[static_cast<std::size_t>(owner_of_gap.at(gap_id))], gap_id,
-        read_seq);
+    serialize_read(outgoing[static_cast<std::size_t>(gap_id % p)], gap_id,
+                   read_seq);
   };
   for (const auto& a : my_alignments) {
     rank.stats().add_work();
@@ -203,7 +193,7 @@ std::vector<Closure> GapCloser::run(
   // (spanning takes the first hit), so sorting + deduping makes the result
   // a function of the read *set*, independent of arrival order. The memory
   // cap truncates only after that, so what survives it is equally
-  // order-independent (read redistribution must not change closures).
+  // order-independent (read placement must not change closures).
   for (auto& [gap_id, bucket] : gap_reads) {
     std::sort(bucket.begin(), bucket.end());
     bucket.erase(std::unique(bucket.begin(), bucket.end()), bucket.end());
@@ -214,8 +204,7 @@ std::vector<Closure> GapCloser::run(
   // --- Close owned gaps (embarrassingly parallel). ---
   std::vector<Closure> closures;
   for (const auto& gap : gaps) {
-    if (owner_of_gap.at(gap.gap_id) != static_cast<std::uint64_t>(rank.id()))
-      continue;
+    if (gap.gap_id % p != static_cast<std::uint64_t>(rank.id())) continue;
     static const std::vector<std::string> kNone;
     auto it = gap_reads.find(gap.gap_id);
     closures.push_back(

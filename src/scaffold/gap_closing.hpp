@@ -46,12 +46,6 @@ struct GapClosingConfig {
   /// sort+dedup so the retained set is a pure function of the projected
   /// read set, independent of arrival order / read distribution.
   std::size_t max_reads_per_gap = 512;
-  /// Own gaps by the left contig's owner (contig_id % P) instead of
-  /// round-robin by gap id. With `--shuffle-reads` the reads aligned to a
-  /// contig live on its owner, so projections become self-sends and the
-  /// left-flank fetch is local. Perf-only: closures are replicated before
-  /// scaffold sequence construction, so ownership cannot change output.
-  bool locality_aware_owners = false;
 };
 
 /// Replicated description of one gap.
@@ -87,8 +81,7 @@ class GapCloser {
   GapCloser(pgas::ThreadTeam& team, GapClosingConfig config);
 
   /// Collective: project reads into gaps, exchange them, close. Returns the
-  /// closures for gaps owned by this rank (gap_id % P, or the left
-  /// contig's owner under locality_aware_owners).
+  /// closures for gaps owned by this rank (gap_id % P).
   /// `my_reads_by_library[l]` holds this rank's reads of library l — pair
   /// ids are only unique *within* a library.
   [[nodiscard]] std::vector<Closure> run(

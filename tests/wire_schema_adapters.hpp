@@ -20,7 +20,6 @@
 #include "pgas/fabric_wire.hpp"
 #include "pgas/map_wire.hpp"
 #include "pgas/transport.hpp"
-#include "pipeline/read_shuffle.hpp"
 #include "seq/packed_read_arena.hpp"
 #include "server/artifact_cache.hpp"
 #include "server/journal.hpp"
@@ -136,24 +135,6 @@ inline std::vector<WireSweepCase> wire_sweep_cases() {
   using namespace sweep_detail;
   namespace wire = io::wire;
   std::vector<WireSweepCase> cases;
-
-  // ---- io: framed read record ----
-  {
-    Bytes buf;
-    wire::Writer w(buf);
-    wire::put_read(w, sample_read(0));
-    cases.push_back({"read_record", std::move(buf), [](const Bytes& b) {
-                       return guard([&] {
-                         wire::Reader r(b);
-                         const seq::Read read = wire::get_read_checked(r);
-                         if (!r.done()) return Fingerprint{};
-                         Bytes out;
-                         wire::Writer w2(out);
-                         wire::put_read(w2, read);
-                         return Fingerprint{std::move(out)};
-                       });
-                     }});
-  }
 
   // ---- io: seqdb record (30 bases: packed tail canonicality is live) ----
   {
@@ -569,22 +550,6 @@ inline std::vector<WireSweepCase> wire_sweep_cases() {
                        return guard([&] {
                          const auto e = pgas::decode_envelope(b.data(), b.size());
                          return Fingerprint{pgas::frame_envelope(e)};
-                       });
-                     }});
-  }
-
-  // ---- pipeline: shuffle group ----
-  {
-    pipeline::ShuffleGroup group;
-    group.lib = 1;
-    group.reads = {sample_read(0), sample_read(1)};
-    group.alignments = {sample_alignment(0), sample_alignment(1)};
-    cases.push_back({"shuffle_group", pipeline::encode_shuffle_group(group),
-                     [](const Bytes& b) {
-                       return guard([&] {
-                         const auto g =
-                             pipeline::decode_shuffle_group(b.data(), b.size());
-                         return Fingerprint{pipeline::encode_shuffle_group(g)};
                        });
                      }});
   }

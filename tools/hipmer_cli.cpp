@@ -64,7 +64,6 @@ int usage() {
                "--insert N --scaffold-only]...\n"
                "                  [--k 31] [--ranks 16] [--rounds 1] "
                "[--diploid] [--min-count auto|N] [--out FILE]\n"
-               "                  [--shuffle-reads]\n"
                "                  [--checkpoint-dir DIR [--resume] "
                "[--keep-last N] [--checkpoint-rounds-only]]\n"
                "                  [--chaos-spec "
@@ -129,14 +128,7 @@ void reap_workers(pipeline::Pipeline* pipe) {
   if (fab == nullptr) return;
   for (const long pid : fab->worker_pids()) {
     ::kill(static_cast<pid_t>(pid), SIGKILL);
-    int status = 0;
-    ::waitpid(static_cast<pid_t>(pid), &status, 0);
-    if (getenv("HIPMER_FABRIC_DEBUG")) {
-      if (WIFEXITED(status))
-        std::fprintf(stderr, "[fabdbg] worker pid %ld exited %d\n", pid, WEXITSTATUS(status));
-      else if (WIFSIGNALED(status))
-        std::fprintf(stderr, "[fabdbg] worker pid %ld signal %d\n", pid, WTERMSIG(status));
-    }
+    ::waitpid(static_cast<pid_t>(pid), nullptr, 0);
   }
 }
 
@@ -189,9 +181,6 @@ int cmd_assemble(int argc, char** argv) {
   cfg.k = k;
   cfg.scaffolding_rounds = static_cast<int>(opts.get_int("rounds", 1));
   cfg.merge_bubbles = opts.get_bool("diploid", false);
-  // Perf knob: the post-alignment locality shuffle. It does not change the
-  // assembly output.
-  cfg.shuffle_reads = opts.get_bool("shuffle-reads", false);
   cfg.kmer.min_count = *min_count;
   cfg.checkpoint.dir = opts.get("checkpoint-dir", "");
   cfg.checkpoint.keep_last = static_cast<int>(opts.get_int("keep-last", 0));
@@ -236,10 +225,7 @@ int cmd_assemble(int argc, char** argv) {
       const auto result = pipe.execute_from_fastq(libraries, resume);
       (void)result;  // rank 0's process reports and writes the output
       return 0;
-    } catch (const pgas::RankKilled& e) {
-      if (getenv("HIPMER_FABRIC_DEBUG"))
-        std::fprintf(stderr, "[fabdbg %d] worker %d RankKilled: %s\n",
-                     (int)getpid(), worker_rank, e.what());
+    } catch (const pgas::RankKilled&) {
       return 75;  // "teammate died" — the coordinator respawns us
     }
   }

@@ -105,6 +105,8 @@ SWEEP_OVERRIDES = {
     "ckpt_aux_stats": "fragment of ckpt_manifest; swept inside it",
     "contig_req": "private ContigStore RPC codec; two fixed PODs, "
     "exercised end-to-end by the fabric frame sweeps",
+    "read_record": "only decoded in-process (trusted get_read of buffers "
+    "this process framed); no reader takes untrusted bytes",
 }
 
 SCHEMA_RE = re.compile(
