@@ -12,15 +12,9 @@ namespace hipmer::ckpt {
 
 namespace {
 
+using io::wire::count_fits;
 using io::wire::Reader;
 using io::wire::Writer;
-
-/// Reject record counts that could not possibly fit in the remaining bytes
-/// (corrupt counts would otherwise trigger huge allocations before the
-/// truncation check fires).
-bool count_fits(const Reader& r, std::uint64_t n, std::size_t min_record) {
-  return n <= r.remaining() / min_record + 1;
-}
 
 }  // namespace
 

@@ -139,6 +139,9 @@ std::optional<Manifest> decode_manifest(const std::vector<std::byte>& bytes) {
     if (r.get_u32_checked("manifest version") != kManifestVersion)
       return std::nullopt;
     const std::uint32_t count = r.get_u32_checked("entry count");
+    // An entry is at least its stage length prefix, seq, fingerprint and
+    // shard count.
+    if (!io::wire::count_fits(r, count, 4 + 8 + 8 + 4)) return std::nullopt;
     Manifest manifest;
     manifest.entries.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {

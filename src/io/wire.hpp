@@ -133,6 +133,15 @@ class Reader {
     pos_ += n;
   }
 
+  /// require(n, field) + borrow the next `n` bytes in place: the pointer
+  /// is valid as long as the buffer the Reader walks.
+  [[nodiscard]] const std::byte* get_view(std::size_t n, const char* field) {
+    require(n, field);
+    const std::byte* view = data_ + pos_;
+    pos_ += n;
+    return view;
+  }
+
   template <typename T>
   [[nodiscard]] T get_pod_checked(const char* field) {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -191,6 +200,14 @@ class Reader {
   std::size_t pos_ = 0;
   bool truncated_ = false;
 };
+
+/// Reject record counts that could not possibly fit in the remaining bytes
+/// (corrupt counts would otherwise trigger huge allocations before the
+/// truncation check fires).
+[[nodiscard]] inline bool count_fits(const Reader& r, std::uint64_t n,
+                                     std::size_t min_record) noexcept {
+  return n <= r.remaining() / min_record + 1;
+}
 
 // ---- record framings shared across stages ----
 

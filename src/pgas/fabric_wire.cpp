@@ -215,6 +215,9 @@ std::vector<std::vector<std::byte>> decode_serial_release(
     const std::byte* data, std::size_t size) {
   io::wire::Reader r(data, size);
   const auto p = r.get_u32_checked("serial count");
+  // Each part carries at least its u32 length prefix: bound the count by
+  // the bytes left before it sizes an allocation.
+  r.require(std::size_t{p} * 4, "serial parts");
   std::vector<std::vector<std::byte>> parts;
   parts.reserve(p);
   for (std::uint32_t i = 0; i < p; ++i) {

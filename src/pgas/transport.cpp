@@ -7,9 +7,13 @@
 
 namespace hipmer::pgas {
 
+// Header (magic, channel, src, dst, seq, payload length) plus trailing CRC.
+constexpr std::size_t kEnvelopeOverhead = 4 * 4 + 8 + 4 + 4;
+
 // wire-schema: transport_envelope writer
 std::vector<std::byte> frame_envelope(const Envelope& env) {
   std::vector<std::byte> out;
+  out.reserve(kEnvelopeOverhead + env.payload.size());
   io::wire::Writer w(out);
   w.put_u32(kEnvelopeMagic);
   w.put_u32(env.channel);
@@ -23,22 +27,19 @@ std::vector<std::byte> frame_envelope(const Envelope& env) {
 }
 
 // wire-schema: transport_envelope reader
-Envelope decode_envelope(const std::byte* data, std::size_t size) {
+EnvelopeView decode_envelope_view(const std::byte* data, std::size_t size) {
   io::wire::Reader r(data, size);
   const auto magic = r.get_pod_checked<std::uint32_t>("envelope magic");
   if (magic != kEnvelopeMagic)
     throw io::wire::CorruptError("wire: corrupt: envelope magic mismatch");
-  Envelope env;
+  EnvelopeView env;
   env.channel = r.get_pod_checked<std::uint32_t>("envelope channel");
   env.src = r.get_pod_checked<std::uint32_t>("envelope src");
   env.dst = r.get_pod_checked<std::uint32_t>("envelope dst");
   env.seq = r.get_pod_checked<std::uint64_t>("envelope seq");
   const auto len = r.get_pod_checked<std::uint32_t>("envelope payload length");
-  // Bounds-check the prefix before the resize: a corrupt length byte must
-  // not drive a multi-GB allocation before the CRC gets a chance to fail.
-  r.require(len, "envelope payload");
-  env.payload.resize(len);
-  if (len > 0) r.get_raw(env.payload.data(), len, "envelope payload");
+  env.payload = r.get_view(len, "envelope payload");
+  env.payload_size = len;
   const std::size_t covered = size - r.remaining();
   const auto stored = r.get_pod_checked<std::uint32_t>("envelope crc");  // wire: crc32
   const std::uint32_t computed = util::crc32c(data, covered);
@@ -51,6 +52,20 @@ Envelope decode_envelope(const std::byte* data, std::size_t size) {
   if (!r.done())
     throw io::wire::CorruptError("wire: corrupt: trailing bytes after envelope");
   return env;
+}
+
+Envelope to_envelope(const EnvelopeView& view) {
+  Envelope env;
+  env.channel = view.channel;
+  env.src = view.src;
+  env.dst = view.dst;
+  env.seq = view.seq;
+  env.payload.assign(view.payload, view.payload + view.payload_size);
+  return env;
+}
+
+Envelope decode_envelope(const std::byte* data, std::size_t size) {
+  return to_envelope(decode_envelope_view(data, size));
 }
 
 void Transport::attach_fabric(Fabric& fabric) {
@@ -72,8 +87,7 @@ void Transport::on_wire(ChannelId ch, int src, int dst,
   // This process owns the receiver half of link (ch, src, dst): recv seq
   // and reorder buffer. The sender half lives in src's process.
   Link& link = link_of(chan, src, dst);
-  std::vector<std::byte> env_bytes(data, data + size);
-  receive(ch, link, env_bytes, stats,
+  receive(ch, link, data, size, stats,
           [&](int d, const std::byte* p, std::size_t n) {
             chan.handler(src, d, p, n);
           });

@@ -73,7 +73,7 @@ class PeerSuspect : public RankKilled {
   int peer_;
 };
 
-/// Decoded envelope. The wire layout (io::wire framing) is
+/// An envelope that owns its payload. The wire layout (io::wire framing) is
 ///   [u32 magic][u32 channel][u32 src][u32 dst][u64 seq]
 ///   [u32 payload_len][payload bytes][u32 crc32c]
 /// with the CRC covering every preceding byte.
@@ -85,12 +85,29 @@ struct Envelope {
   std::vector<std::byte> payload;
 };
 
+/// A decoded envelope that borrows its payload from the framed bytes it
+/// was decoded from: valid only while those bytes are.
+struct EnvelopeView {
+  std::uint32_t channel = 0;
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint64_t seq = 0;
+  const std::byte* payload = nullptr;
+  std::size_t payload_size = 0;
+};
+
 inline constexpr std::uint32_t kEnvelopeMagic = 0x48564E45u;  // "ENVH"
 
 [[nodiscard]] std::vector<std::byte> frame_envelope(const Envelope& env);
-/// Throws io::wire::TruncatedError (naming the field that ran off the end)
-/// or io::wire::CorruptError (bad magic / CRC mismatch / inconsistent
+/// Checks the magic, lengths and CRC without copying the payload. Throws
+/// io::wire::TruncatedError (naming the field that ran off the end) or
+/// io::wire::CorruptError (bad magic / CRC mismatch / inconsistent
 /// lengths).
+[[nodiscard]] EnvelopeView decode_envelope_view(const std::byte* data,
+                                                std::size_t size);
+/// An owned copy of a view (header and payload bytes).
+[[nodiscard]] Envelope to_envelope(const EnvelopeView& view);
+/// decode_envelope_view plus an owned copy of the payload.
 [[nodiscard]] Envelope decode_envelope(const std::byte* data,
                                        std::size_t size);
 
@@ -221,8 +238,9 @@ class Transport {
   struct Link {
     std::uint64_t next_send_seq = 0;
     std::uint64_t next_recv_seq = 0;
-    /// Received ahead of sequence, keyed by seq (framed envelope bytes).
-    std::map<std::uint64_t, std::vector<std::byte>> reorder;
+    /// Received ahead of sequence, keyed by seq. The only owned copy on
+    /// the receive path: it outlives the bytes it arrived in.
+    std::map<std::uint64_t, Envelope> reorder;
     /// In-network envelopes (reorder/delay fates): released FIFO when
     /// `countdown` later sends complete on this link, or at drain().
     struct Held {
@@ -290,12 +308,11 @@ class Transport {
   /// handler throws mid-apply is never re-applied by a retry (idempotence
   /// under at-least-once).
   template <typename Deliver>
-  Receipt receive(ChannelId ch, Link& link,
-                  const std::vector<std::byte>& env_bytes, CommStats& stats,
-                  Deliver&& deliver) {
-    Envelope env;
+  Receipt receive(ChannelId ch, Link& link, const std::byte* data,
+                  std::size_t size, CommStats& stats, Deliver&& deliver) {
+    EnvelopeView env;
     try {
-      env = decode_envelope(env_bytes.data(), env_bytes.size());
+      env = decode_envelope_view(data, size);
     } catch (const io::wire::Error&) {
       // Truncated or corrupt frame: reject so the sender retransmits.
       stats.add_transport_corrupt();
@@ -314,21 +331,19 @@ class Transport {
         stats.add_transport_dup();
       } else {
         stats.add_transport_reorder();
-        link.reorder.emplace(env.seq, env_bytes);
+        link.reorder.emplace(env.seq, to_envelope(env));
       }
       return Receipt::kAck;
     }
     link.next_recv_seq = env.seq + 1;  // advance BEFORE apply (idempotence)
-    deliver(static_cast<int>(env.dst), env.payload.data(),
-            env.payload.size());
+    deliver(static_cast<int>(env.dst), env.payload, env.payload_size);
     // The fresh envelope may have filled the gap in front of buffered
     // successors; apply them in order. Extraction precedes apply for the
     // same exception-safety reason.
     while (!link.reorder.empty() &&
            link.reorder.begin()->first == link.next_recv_seq) {
       auto node = link.reorder.extract(link.reorder.begin());
-      Envelope next = decode_envelope(node.mapped().data(),
-                                      node.mapped().size());
+      const Envelope& next = node.mapped();
       link.next_recv_seq = next.seq + 1;
       deliver(static_cast<int>(next.dst), next.payload.data(),
               next.payload.size());
@@ -347,7 +362,8 @@ class Transport {
     while (!link.limbo.empty() && link.limbo.front().countdown <= 0) {
       auto env = std::move(link.limbo.front().env);
       link.limbo.pop_front();
-      receive(ch, link, env, stats, deliver);  // pristine bytes: always acked
+      // Pristine bytes: always acked.
+      receive(ch, link, env.data(), env.size(), stats, deliver);
     }
   }
 
@@ -416,7 +432,7 @@ void Transport::send(int src, int dst, ChannelId ch,
   const bool lossy =
       src != dst && (blackholed(src, dst) || (chaos_on_ && chan.probs.any()));
   if (!lossy) {
-    receive(ch, link, wire, stats, deliver);
+    receive(ch, link, wire.data(), wire.size(), stats, deliver);
     chan.hist[0].fetch_add(1, std::memory_order_relaxed);
     release_limbo(ch, link, stats, deliver);
     return;
@@ -432,15 +448,17 @@ void Transport::send(int src, int dst, ChannelId ch,
                                       env.seq, attempt);
     switch (fate) {
       case ChaosFate::kDeliver:
-        acked = receive(ch, link, wire, stats, deliver) == Receipt::kAck;
+        acked = receive(ch, link, wire.data(), wire.size(), stats,
+                        deliver) == Receipt::kAck;
         break;
       case ChaosFate::kDrop:
         break;  // lost in the fabric
       case ChaosFate::kDuplicate: {
         // Fabric-level duplication: the same frame arrives twice; the
         // second copy is deduped by the receiver (seq < expected).
-        acked = receive(ch, link, wire, stats, deliver) == Receipt::kAck;
-        receive(ch, link, wire, stats, deliver);
+        acked = receive(ch, link, wire.data(), wire.size(), stats,
+                        deliver) == Receipt::kAck;
+        receive(ch, link, wire.data(), wire.size(), stats, deliver);
         break;
       }
       case ChaosFate::kCorrupt: {
@@ -453,7 +471,8 @@ void Transport::send(int src, int dst, ChannelId ch,
         const std::size_t pos = static_cast<std::size_t>(h % bad.size());
         const auto bit = static_cast<unsigned>((h >> 32) & 7);
         bad[pos] ^= static_cast<std::byte>(1u << bit);
-        receive(ch, link, bad, stats, deliver);  // rejected: CRC mismatch
+        // Rejected: CRC mismatch.
+        receive(ch, link, bad.data(), bad.size(), stats, deliver);
         break;
       }
       case ChaosFate::kReorder:
@@ -506,7 +525,7 @@ void Transport::drain(int src, ChannelId ch, CommStats& stats,
     while (!link.limbo.empty()) {
       auto env = std::move(link.limbo.front().env);
       link.limbo.pop_front();
-      receive(ch, link, env, stats, deliver);
+      receive(ch, link, env.data(), env.size(), stats, deliver);
     }
     // Limbo held the only gaps; once it drains, everything buffered
     // out-of-sequence has been applied.

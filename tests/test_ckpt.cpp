@@ -88,6 +88,60 @@ TEST(Crc32, KnownAnswerAndIncremental) {
   EXPECT_EQ(util::crc32c(nullptr, 0), 0u);
 }
 
+/// Bit-at-a-time CRC-32C over the raw state: the definition the table and
+/// hardware paths must both reproduce.
+std::uint32_t crc32c_bitwise(std::uint32_t crc, const unsigned char* p,
+                             std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78U : crc >> 1;
+  }
+  return crc;
+}
+
+using CrcUpdate = std::uint32_t (*)(std::uint32_t, const unsigned char*,
+                                    std::size_t);
+
+/// `update` against `reference`: the check value, every length 0-1024 at
+/// every start offset 0-7 of pseudo-random bytes, and every split of one
+/// buffer into two incremental calls.
+void expect_crc_path_matches(CrcUpdate update, CrcUpdate reference) {
+  const auto* check = reinterpret_cast<const unsigned char*>("123456789");
+  EXPECT_EQ(~update(0xffffffffU, check, 9), 0xE3069283u);
+  std::mt19937 rng(0xc5c5);
+  std::vector<unsigned char> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 1024; ++len)
+      ASSERT_EQ(update(0xffffffffU, buf.data() + offset, len),
+                reference(0xffffffffU, buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+  const std::size_t len = 300;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    const std::uint32_t whole = reference(0xffffffffU, p, len);
+    for (std::size_t split = 0; split <= len; ++split)
+      ASSERT_EQ(update(update(0xffffffffU, p, split), p + split, len - split),
+                whole)
+          << "offset " << offset << " split " << split;
+  }
+}
+
+TEST(Crc32, TablePathMatchesBitwiseDefinition) {
+  expect_crc_path_matches(util::detail::crc32c_update_table, crc32c_bitwise);
+}
+
+TEST(Crc32, HardwarePathMatchesTablePath) {
+#if defined(__x86_64__)
+  if (!util::detail::have_sse42()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  expect_crc_path_matches(util::detail::crc32c_update_sse42,
+                          util::detail::crc32c_update_table);
+#else
+  GTEST_SKIP() << "hardware CRC-32C is x86-64 only";
+#endif
+}
+
 // ---- Manifest ----
 
 ckpt::Manifest sample_manifest() {
@@ -150,6 +204,19 @@ TEST(Manifest, EveryTruncationIsDetected) {
                                         bytes.begin() + static_cast<long>(len));
     EXPECT_FALSE(ckpt::decode_manifest(prefix).has_value()) << "len " << len;
   }
+}
+
+TEST(Manifest, EntryCountBeyondBytesIsRejected) {
+  // A CRC-valid manifest whose entry count cannot fit in the bytes left is
+  // rejected before the count sizes an allocation.
+  std::vector<std::byte> bytes;
+  io::wire::Writer w(bytes);
+  w.put_u32(ckpt::kManifestMagic);
+  w.put_u32(ckpt::kManifestVersion);
+  w.put_u32(0xFFFFFFFFu);
+  w.put_u32(0);
+  w.put_u32(util::crc32c(bytes.data(), bytes.size()));
+  EXPECT_FALSE(ckpt::decode_manifest(bytes).has_value());
 }
 
 TEST(Manifest, StageProgressOrdering) {

@@ -93,6 +93,18 @@ TEST(FrameCodec, EveryTruncationIsRejected) {
   }
 }
 
+// Each serial-release part carries at least its u32 length prefix, so a
+// part count beyond a quarter of the bytes left fails as truncated before
+// it sizes an allocation.
+TEST(FrameCodec, SerialReleaseCountBeyondBytesIsTruncated) {
+  std::vector<std::byte> body;
+  io::wire::Writer w(body);
+  w.put_u32(0xFFFFFFFFu);
+  w.put_u32(0);
+  EXPECT_THROW((void)decode_serial_release(body.data(), body.size()),
+               io::wire::TruncatedError);
+}
+
 TEST(FrameCodec, TrailingGarbageIsRejected) {
   auto bytes = encode_frame(sample_frame(FrameKind::kData));
   bytes.push_back(std::byte{0xAB});

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "pgas/aggregating_engine.hpp"
 #include "pgas/chaos.hpp"
 #include "pgas/comm_stats.hpp"
+#include "pgas/fabric.hpp"
 #include "pgas/fault.hpp"
 #include "pgas/transport.hpp"
 
@@ -481,6 +484,95 @@ TEST(Transport, HandlerExceptionMidApplyIsNotReapplied) {
 }
 
 // ---- chaos plan parsing ----
+
+/// Multi-process fabric stand-in hosting rank `me`: ship() records each
+/// framed envelope instead of writing it to a socket.
+class RecordingFabric final : public pgas::Fabric {
+ public:
+  RecordingFabric(int nranks, int me) : Fabric(nranks), me_(me) {}
+  [[nodiscard]] bool multiprocess() const noexcept override { return true; }
+  [[nodiscard]] int my_rank() const noexcept override { return me_; }
+  void ship(std::uint32_t, int, int,
+            const std::vector<std::byte>& envelope) override {
+    shipped.push_back(envelope);
+  }
+  void send_oneway(std::uint32_t, int, std::vector<std::byte>) override {
+    throw std::logic_error("RecordingFabric: send_oneway");
+  }
+  std::vector<std::byte> rpc(std::uint32_t, int,
+                             std::vector<std::byte>) override {
+    throw std::logic_error("RecordingFabric: rpc");
+  }
+  void poll_until(const std::function<bool()>&) override {}
+  void barrier(const BarrierPoint&) override {}
+  void abandon(int) override {}
+  std::vector<std::vector<std::byte>> serial_exchange(
+      std::vector<std::byte> mine) override {
+    return {std::move(mine)};
+  }
+
+  std::vector<std::vector<std::byte>> shipped;
+
+ private:
+  int me_;
+};
+
+// on_wire decodes in place: the payload handed to the handler points into
+// the caller's bytes, which the fabric reuses as soon as on_wire returns.
+// Envelopes that arrive ahead of sequence must therefore be copied before
+// they are held. Every frame is fed from one buffer that is overwritten
+// after each call; a held envelope that still pointed into it would fail
+// its CRC or apply the overwritten bytes.
+TEST(Transport, OnWireOwnsOnlyWhatItHoldsAcrossReorderAndDelay) {
+  pgas::FaultInjector faults;
+  RecordingFabric sender_fabric(2, 0);
+  RecordingFabric receiver_fabric(2, 1);
+  Transport sender(2, faults);
+  Transport receiver(2, faults);
+  sender.attach_fabric(sender_fabric);
+  receiver.attach_fabric(receiver_fabric);
+  const auto ch = sender.open_channel("test");
+  ASSERT_EQ(receiver.open_channel("test"), ch);
+  ChaosPlan plan;
+  plan.seed = 29;
+  plan.defaults = ChaosProbs{0.0, 0.0, 0.3, 0.3, 0.0};
+  sender.set_plan(plan);
+
+  std::vector<std::vector<std::byte>> applied;
+  receiver.set_handler(ch, [&](int src, int dst, const std::byte* data,
+                               std::size_t size) {
+    EXPECT_EQ(src, 0);
+    EXPECT_EQ(dst, 1);
+    applied.emplace_back(data, data + size);
+  });
+  pgas::CommStats stats;
+  auto unused = [](int, const std::byte*, std::size_t) {
+    ADD_FAILURE() << "remote sends apply through the receiver's handler";
+  };
+  std::vector<std::vector<std::byte>> sent;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<std::byte> payload(static_cast<std::size_t>(1 + i % 37));
+    for (std::size_t j = 0; j < payload.size(); ++j)
+      payload[j] = static_cast<std::byte>(i * 31 + static_cast<int>(j));
+    sent.push_back(payload);
+    sender.send(0, 1, ch, std::move(payload), stats, unused);
+  }
+  sender.drain(0, ch, stats, unused);
+  ASSERT_EQ(sender_fabric.shipped.size(), sent.size());
+
+  std::vector<std::byte> buffer(4096);
+  for (const auto& frame : sender_fabric.shipped) {
+    ASSERT_LE(frame.size(), buffer.size());
+    std::memcpy(buffer.data(), frame.data(), frame.size());
+    receiver.on_wire(ch, 0, 1, buffer.data(), frame.size(), stats);
+    std::fill(buffer.begin(), buffer.end(), std::byte{0xEE});
+  }
+  EXPECT_EQ(applied, sent);
+  const auto s = stats.snapshot();
+  EXPECT_GT(s.transport_reorders, 0u);
+  EXPECT_EQ(s.transport_corrupts, 0u);
+  EXPECT_EQ(s.transport_dups, 0u);
+}
 
 TEST(ChaosPlan, ParseFullGrammar) {
   const auto plan = ChaosPlan::parse(

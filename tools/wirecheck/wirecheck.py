@@ -140,7 +140,7 @@ TYPE_ALIASES = {
 }
 
 METHOD_CALL_RE = re.compile(
-    r"(?:\.|->)\s*(get_u32|get_u64|get_bytes|get_pod|get_raw|get_read"
+    r"(?:\.|->)\s*(get_u32|get_u64|get_bytes|get_pod|get_raw|get_view|get_read"
     r"|put_u32|put_u64|put_bytes|put_pod)"
     r"(_checked)?\s*(<[^;]*?>)?\s*\("
 )
@@ -578,11 +578,12 @@ class BodyParser:
             if not name.startswith(want):
                 continue  # writers ignore gets and vice versa
             produced = True
-            if want == "get" and not checked and name != "get_raw" \
+            if want == "get" and not checked \
+                    and name not in ("get_raw", "get_view") \
                     and "trusted" not in self.codec.attrs:
                 self.codec.unchecked_lines.append(self.lineno(i))
             base = name.replace("put_", "").replace("get_", "")
-            if base == "raw":
+            if base in ("raw", "view"):
                 self._absorb_raw(nodes, i)
                 continue
             if base == "read":
@@ -642,8 +643,8 @@ class BodyParser:
         return produced
 
     def _absorb_raw(self, nodes: list, i: int) -> None:
-        """get_raw: merges a preceding length scalar into a bytes node, is
-        absorbed by a pending rest node, or errors."""
+        """get_raw / get_view: merges a preceding length scalar into a bytes
+        node, is absorbed by a pending rest node, or errors."""
         if nodes and nodes[-1] == ["rest"]:
             return
         if nodes and nodes[-1] and nodes[-1][0] in ("u32", "u64"):
