@@ -1,10 +1,12 @@
 // Ablation — the two memory/communication optimizations DESIGN.md calls
 // out beyond the headline figures:
 //
-//   1. **Aggregating stores** (§4.1/§4.6 and [13]): batching distributed
-//      hash-table updates cuts the message count on the critical path by
-//      the batch factor. We sweep the batch size on the k-mer counting
-//      phase and report message counts + modeled time.
+//   1. **Aggregating stores** (§4.1/§4.6 and [13]): batching the k-mer
+//      instances bound for each owner cuts the message count on the
+//      critical path by the batch factor. We sweep the per-rank all-to-all
+//      batch (`chunk_kmers`, instances per round) of k-mer analysis's
+//      candidate and counting exchanges and report message counts +
+//      modeled time.
 //   2. **Bloom filter** (§3.1): admitting k-mers into the main table only
 //      on their second sighting keeps the (overwhelmingly singleton,
 //      erroneous) majority of distinct k-mers out — "memory requirement
@@ -29,12 +31,12 @@ int main(int argc, char** argv) {
   const pgas::Topology topo{ranks, 4};
   pgas::MachineModel machine;
 
-  auto run = [&](bool bloom, std::size_t flush) {
+  auto run = [&](bool bloom, std::size_t chunk) {
     pgas::ThreadTeam team(topo);
     kcount::KmerAnalysisConfig cfg;
     cfg.k = 31;
     cfg.use_bloom = bloom;
-    cfg.flush_threshold = flush;
+    cfg.chunk_kmers = chunk;
     auto ka = std::make_unique<kcount::KmerAnalysis>(team, cfg);
     const auto before = team.snapshot_all();
     team.run([&](pgas::Rank& rank) {
@@ -56,25 +58,26 @@ int main(int argc, char** argv) {
     return out;
   };
 
-  util::TextTable agg({"flush_batch", "messages", "modeled_s", "msg_reduction"});
+  util::TextTable agg({"chunk_kmers", "messages", "modeled_s", "msg_reduction"});
   double base_msgs = 0;
-  for (std::size_t flush : {std::size_t{1}, std::size_t{16}, std::size_t{128},
-                            std::size_t{512}, std::size_t{2048}}) {
-    const auto r = run(true, flush);
+  for (std::size_t chunk : {std::size_t{64}, std::size_t{512},
+                            std::size_t{4096}, std::size_t{32768}}) {
+    const auto r = run(true, chunk);
     if (base_msgs == 0) base_msgs = static_cast<double>(r.msgs);
-    agg.add_row({std::to_string(flush), std::to_string(r.msgs),
+    agg.add_row({std::to_string(chunk), std::to_string(r.msgs),
                  util::TextTable::fmt(r.modeled, 3),
                  util::TextTable::fmt(base_msgs / static_cast<double>(r.msgs), 1) + "x"});
   }
   bench::emit("ablation_aggregating_stores",
-              "Ablation: aggregating-stores batch size on k-mer counting "
-              "(messages shrink ~linearly with the batch)",
+              "Ablation: all-to-all batch (k-mer instances per rank per "
+              "round) of k-mer analysis (messages shrink ~linearly with the "
+              "batch)",
               agg);
 
   util::TextTable bloom({"config", "main_table_entries", "bloom_bytes",
                          "entry_reduction"});
-  const auto with = run(true, 512);
-  const auto without = run(false, 512);
+  const auto with = run(true, 32768);
+  const auto without = run(false, 32768);
   bloom.add_row({"bloom_on", std::to_string(with.entries),
                  std::to_string(with.bloom_bytes),
                  util::TextTable::fmt_pct(

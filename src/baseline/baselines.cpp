@@ -24,8 +24,8 @@ BaselineResult from_pipeline(const std::string& name,
 void deoptimize(pipeline::PipelineConfig& config) {
   config.kmer.use_bloom = false;
   config.kmer.use_heavy_hitters = false;
-  config.kmer.flush_threshold = 1;
   config.kmer.chunk_kmers = 64;  // tiny exchange batches ~ fine-grained comm
+  config.depth_flush_threshold = 1;
   config.contig.flush_threshold = 1;
   config.links.flush_threshold = 1;
   config.aligner.flush_threshold = 1;

@@ -4,46 +4,65 @@
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "kcount/bloom_filter.hpp"
-#include "kcount/hyperloglog.hpp"
 #include "kcount/kmer_tally.hpp"
-#include "kcount/misra_gries.hpp"
-#include "pgas/dist_hash_map.hpp"
 #include "pgas/thread_team.hpp"
 #include "seq/read.hpp"
 #include "seq/read_set_view.hpp"
 #include "seq/types.hpp"
 
-/// Stage 1 of the pipeline: parallel k-mer analysis (§2 step 1, §3.1).
+/// Stage 1 of the pipeline: parallel k-mer analysis (§2 step 1, §3.1), as
+/// owner-computes counting on packed words.
+///
+/// Every canonical k-mer has one owner rank, `hash % P`, and only the owner
+/// ever touches that k-mer's state: its Bloom filter bits, its table entry,
+/// its final tally. Ranks scan their own reads and ship each k-mer instance
+/// to its owner as the k-mer's packed 2-bit words and nothing else — k is
+/// global, so the owner rebuilds the k-mer (and its hash) from the words.
+/// k <= 32 uses one 64-bit word per k-mer, 33 <= k <= 64 two; the passes
+/// are one template instantiated per word count W, chosen once from k.
 ///
 /// Four collective passes, all driven from `run()`:
 ///
 ///  0. **Sketch pass** — one streaming pass over the reads builds, per
 ///     rank, a HyperLogLog (cardinality, used to size the Bloom filters and
-///     hash table: "an initial pass ... to estimate the cardinality") and a
-///     Misra–Gries summary (heavy-hitter candidates). MG partial counts are
-///     routed to each k-mer's owner and summed (mergeable summaries /
+///     owner tables: "an initial pass ... to estimate the cardinality") and
+///     a Misra–Gries summary (heavy-hitter candidates). MG partial counts
+///     are routed to each k-mer's owner and summed (mergeable summaries /
 ///     Cafaro–Tempesta); k-mers whose summed lower-bound count crosses the
-///     threshold become the replicated heavy-hitter set.
-///  1. **Candidate pass** — every non-heavy k-mer instance is routed to its
-///     owner (chunked all-to-all = aggregated messages); the owner runs the
-///     Bloom filter test-and-set and admits a k-mer into the candidate
-///     table on its second sighting, keeping singletons (overwhelmingly
-///     sequencing errors) out of the main table.
-///  2. **Counting pass** — k-mer instances with their quality-filtered
-///     neighbor bases are merged into the owners' tallies via the
-///     aggregating-stores path. Heavy hitters are instead accumulated in a
-///     rank-local map ("the high frequency k-mers are accumulated locally,
-///     followed by a final global reduction") and exchanged once at the
-///     end — this is the optimization Figure 6 measures.
+///     threshold become the replicated heavy-hitter set, a flat word ->
+///     index table. The per-rank instance counts gathered here fix the
+///     round count of both exchanges below, so no round needs its own
+///     "anyone left?" reduction.
+///  1. **Candidate pass** — every non-heavy k-mer instance goes to its
+///     owner as a bare 8W-byte record in a chunked all-to-all (aggregated
+///     messages, `chunk_kmers` instances per rank per round). The owner
+///     runs the Bloom filter test-and-set and admits a k-mer into its table
+///     on the second sighting, keeping singletons (overwhelmingly
+///     sequencing errors) out of the table.
+///  2. **Counting pass** — the same exchange again, each record now 8W+1
+///     bytes: the words plus one byte holding the quality-filtered left and
+///     right neighbour codes in the canonical frame. The owner rebuilds the
+///     instance's `KmerTally` from that byte and merges it into the entry,
+///     if the candidate pass admitted one (find-or-insert without the Bloom
+///     filter). Heavy hitters never travel per instance: each rank
+///     accumulates them into a dense tally array indexed by the heavy set
+///     ("the high frequency k-mers are accumulated locally, followed by a
+///     final global reduction"), and one exchange at the end hands the
+///     partial tallies to the owners — the optimization Figure 6 measures.
 ///  3. **Finalize** — the global count histogram of every k-mer seen at
 ///     least twice is built, the cutoff is read from its valley when
-///     `min_count` is 0 (no separate probe run), below-cutoff k-mers are
-///     discarded, and extension tallies collapse into UFX records (depth +
-///     two-letter code).
+///     `min_count` is 0 (no separate probe run), and each owner collapses
+///     its at-or-above-cutoff tallies into UFX records (depth + two-letter
+///     code).
+///
+/// Owner tables are flat open-addressing arrays (`PackedKmerTable`) keyed
+/// by the words, 8W + 20 bytes of key and tally per slot. They need no
+/// locks because no rank other than the owner reads or writes them; on a
+/// multi-process fabric each process allocates only its own ranks' tables
+/// and Bloom filters.
 namespace hipmer::kcount {
 
 struct KmerAnalysisConfig {
@@ -66,12 +85,11 @@ struct KmerAnalysisConfig {
 
   bool use_bloom = true;
   /// Expected fraction of distinct k-mers that are non-singletons (sizes
-  /// the candidate table relative to the cardinality estimate).
+  /// the owner tables relative to the cardinality estimate).
   double candidate_fraction = 0.4;
 
-  /// Aggregating-stores batch size (elements per destination buffer).
-  std::size_t flush_threshold = 512;
-  /// Per-rank k-mers per exchange round in the candidate pass.
+  /// K-mer instances each rank scans per all-to-all round of the candidate
+  /// and counting passes.
   std::size_t chunk_kmers = 32768;
 };
 
@@ -83,9 +101,7 @@ struct KmerAnalysisConfig {
 
 class KmerAnalysis {
  public:
-  using Map = pgas::DistHashMap<seq::KmerT, KmerTally, seq::KmerHashT,
-                                KmerTallyMerge>;
-
+  /// k must be in [1, 64].
   KmerAnalysis(pgas::ThreadTeam& team, KmerAnalysisConfig config);
   ~KmerAnalysis();
 
@@ -131,6 +147,8 @@ class KmerAnalysis {
   [[nodiscard]] double singleton_fraction() const noexcept {
     return singleton_fraction_;
   }
+  /// Heavy hitters with their summed Misra–Gries lower-bound counts,
+  /// largest first (ties in k-mer order).
   [[nodiscard]] const std::vector<std::pair<seq::KmerT, std::uint64_t>>&
   heavy_hitters() const noexcept {
     return heavy_hitters_;
@@ -149,9 +167,8 @@ class KmerAnalysis {
   [[nodiscard]] std::uint64_t total_kmer_instances() const noexcept {
     return total_instances_;
   }
-  [[nodiscard]] std::size_t table_entries() const;
-  /// Entries resident in the main table *before* the below-threshold purge
-  /// — the working-set size the Bloom filter shrinks (§3.1: "memory
+  /// Entries resident in the owner tables *before* the below-threshold
+  /// purge — the working-set size the Bloom filter shrinks (§3.1: "memory
   /// requirement reductions of up to 85%").
   [[nodiscard]] std::size_t peak_table_entries() const noexcept {
     return peak_table_entries_;
@@ -162,41 +179,26 @@ class KmerAnalysis {
   }
 
  private:
-  struct HeavyItem {
-    seq::KmerT kmer;
-    std::uint64_t count;
+  /// The four passes for one word count W; see the file comment.
+  struct Engine {
+    virtual ~Engine() = default;
+    virtual void run(pgas::Rank& rank,
+                     const std::vector<seq::ReadSetView>& read_sets) = 0;
   };
-  struct TallyItem {
-    seq::KmerT kmer;
-    KmerTally tally;
-  };
-
-  void sketch_pass(pgas::Rank& rank,
-                   const std::vector<seq::ReadSetView>& read_sets);
-  void allocate(pgas::Rank& rank);
-  void candidate_pass(pgas::Rank& rank,
-                      const std::vector<seq::ReadSetView>& read_sets);
-  void counting_pass(pgas::Rank& rank,
-                     const std::vector<seq::ReadSetView>& read_sets);
-  void finalize(pgas::Rank& rank);
-
-  [[nodiscard]] std::uint32_t owner_of(const seq::KmerT& km) const;
+  template <int W>
+  class Passes;
 
   pgas::ThreadTeam& team_;
   KmerAnalysisConfig config_;
+  std::unique_ptr<Engine> engine_;
 
-  std::unique_ptr<Map> table_;
+  // blooms_[r] — rank r's filter (allocated by r itself; on a multi-process
+  // fabric only this process's rank has one).
   std::vector<std::unique_ptr<BloomFilter>> blooms_;
 
-  // Replicated heavy-hitter set (read-only after the sketch pass).
-  std::unordered_set<seq::KmerT, seq::KmerHashT> hh_set_;
   std::vector<std::pair<seq::KmerT, std::uint64_t>> heavy_hitters_;
-
-  // Per-rank outputs / partials (indexed by rank id).
+  // Per-rank UFX shards (indexed by rank id).
   std::vector<std::vector<std::pair<seq::KmerT, KmerSummary>>> ufx_;
-  std::vector<std::uint64_t> distinct_per_rank_;
-  std::vector<std::uint64_t> instances_per_rank_;
-  std::vector<std::vector<std::uint64_t>> histogram_per_rank_;
 
   double cardinality_estimate_ = 0.0;
   std::size_t peak_table_entries_ = 0;

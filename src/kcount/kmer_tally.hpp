@@ -48,13 +48,6 @@ struct KmerTally {
   }
 };
 
-/// Merge functor for DistHashMap.
-struct KmerTallyMerge {
-  void operator()(KmerTally& existing, const KmerTally& incoming) const {
-    existing.merge(incoming);
-  }
-};
-
 /// Finalized UFX record: count ("depth") + unique high-quality extensions.
 struct KmerSummary {
   std::uint32_t depth = 0;

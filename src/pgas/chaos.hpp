@@ -58,8 +58,8 @@ class ChaosPlan {
   std::uint64_t seed = 0;
   /// Probabilities for channels with no matching override.
   ChaosProbs defaults;
-  /// (substring pattern, probs) — a channel named "kcount.counts/store"
-  /// matches patterns "kcount", "counts" or "store"; the last matching
+  /// (substring pattern, probs) — a channel named "dbg.graph/store"
+  /// matches patterns "dbg", "graph" or "store"; the last matching
   /// override wins, so specific rules go after general ones.
   std::vector<std::pair<std::string, ChaosProbs>> per_channel;
   std::vector<BlackholeRule> blackholes;

@@ -150,7 +150,7 @@ class DistHashMap {
   /// while the table is empty and outside concurrent access.
   void set_rank_mapper(RankMapper mapper) { mapper_ = std::move(mapper); }
 
-  /// Name this table ("kcount.counts", "align.seed_index", ...): labels
+  /// Name this table ("dbg.graph", "align.seed_index", ...): labels
   /// HIPMER_CHECKED diagnostics and renames the transport channels so
   /// chaos-spec patterns and retry histograms key off the table name.
   void set_name(const std::string& name) {
@@ -177,14 +177,8 @@ class DistHashMap {
 
   // ---- fine-grained one-sided path ----
 
-  /// Insert policy for update operations: find-or-insert (default), or
-  /// merge-only-if-present (used by k-mer counting pass B, where membership
-  /// was decided by the Bloom-filtered pass A and singletons must stay out).
-  enum class Policy { kInsert, kIfPresent };
-
   /// Find-or-insert `key` and merge `delta` into its value. One message.
-  void update(Rank& rank, const K& key, const V& delta,
-              Policy policy = Policy::kInsert HIPMER_SITE_DEFAULT) {
+  void update(Rank& rank, const K& key, const V& delta HIPMER_SITE_DEFAULT) {
 #if defined(HIPMER_CHECKED)
     checked_.on_store(rank.id(), CheckedTable::Path::kFine,
                       to_site(hipmer_site));
@@ -193,7 +187,7 @@ class DistHashMap {
     const std::uint32_t owner =
         mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
     rank.charge_message(static_cast<int>(owner), sizeof(K) + sizeof(V), 1);
-    apply_update(owner, h, key, delta, policy);
+    apply_update(owner, h, key, delta);
     bump_version();
   }
 
@@ -346,8 +340,8 @@ class DistHashMap {
 
   /// Buffer (key, delta) toward the owner; flushes the destination buffer
   /// automatically at the batch threshold.
-  void update_buffered(Rank& rank, const K& key, const V& delta,
-                       Policy policy = Policy::kInsert HIPMER_SITE_DEFAULT) {
+  void update_buffered(Rank& rank, const K& key,
+                       const V& delta HIPMER_SITE_DEFAULT) {
 #if defined(HIPMER_CHECKED)
     checked_.on_store(rank.id(), CheckedTable::Path::kBatched,
                       to_site(hipmer_site));
@@ -355,7 +349,7 @@ class DistHashMap {
     const std::uint64_t h = Hash{}(key);
     const std::uint32_t owner =
         mapper_ ? mapper_(h) : static_cast<std::uint32_t>(h % nranks_);
-    store_engine_.enqueue(rank.id(), owner, PendingOp{h, key, delta, policy},
+    store_engine_.enqueue(rank.id(), owner, PendingOp{h, key, delta},
                           [&](std::uint32_t dest, std::vector<PendingOp>& ops) {
                             ship_store_batch(rank, dest, ops);
                           });
@@ -629,7 +623,6 @@ class DistHashMap {
     std::uint64_t hash;
     K key;
     V delta;
-    Policy policy;
   };
 
   struct LookupReq {
@@ -817,7 +810,7 @@ class DistHashMap {
   }
 
   void apply_update(std::uint32_t owner, std::uint64_t h, const K& key,
-                    const V& delta, Policy policy) {
+                    const V& delta) {
     Shard& shard = shards_[owner];
     const std::size_t b = bucket_index(shard, h);
     std::lock_guard<SpinMutex> lock(shard.locks[b]);
@@ -826,7 +819,6 @@ class DistHashMap {
       Merge{}(e->value, delta);
       return;
     }
-    if (policy == Policy::kIfPresent) return;
     if (bucket.count < Bucket::kInline) {
       bucket.slots[bucket.count] = Entry{key, delta};
       ++bucket.count;
@@ -842,7 +834,7 @@ class DistHashMap {
     rank.charge_message(static_cast<int>(dest),
                         ops.size() * (sizeof(K) + sizeof(V)), ops.size());
     for (const auto& op : ops)
-      apply_update(dest, op.hash, op.key, op.delta, op.policy);
+      apply_update(dest, op.hash, op.key, op.delta);
     bump_version();
   }
 

@@ -125,11 +125,13 @@ class Rank {
 
   /// All-to-all personalized exchange: `out[r]` goes to rank r; the return
   /// value is the concatenation of what every rank sent to *this* rank.
-  /// Message accounting: one message per non-empty destination, classified
-  /// on/off-node by the topology.
+  /// Message accounting: one `charge_message` per non-empty destination,
+  /// carrying one owner op, or one per element with `per_element_ops` (an
+  /// exchange whose every element is an update the owner applies, as in an
+  /// aggregating-stores batch).
   template <typename T>
-  std::vector<T> alltoallv(
-      const std::vector<std::vector<T>>& out HIPMER_SITE_DEFAULT);
+  std::vector<T> alltoallv(const std::vector<std::vector<T>>& out,
+                           bool per_element_ops = false HIPMER_SITE_DEFAULT);
 
  private:
   ThreadTeam* team_;
@@ -454,8 +456,8 @@ T Rank::exscan_sum(const T& value HIPMER_SITE_PARAM) {
 }
 
 template <typename T>
-std::vector<T> Rank::alltoallv(
-    const std::vector<std::vector<T>>& out HIPMER_SITE_PARAM) {
+std::vector<T> Rank::alltoallv(const std::vector<std::vector<T>>& out,
+                               bool per_element_ops HIPMER_SITE_PARAM) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "alltoallv requires a trivially copyable type");
 #if defined(HIPMER_CHECKED)
@@ -477,18 +479,10 @@ std::vector<T> Rank::alltoallv(
       std::memcpy(cursor, out[r].data(), bytes);
       cursor += bytes;
     }
-    // Charge one message per non-empty destination (self excluded: local).
-    const int dest = static_cast<int>(r);
-    if (out[r].empty()) continue;
-    if (dest == rank_) {
-      stats().add_local_access();
-    } else if (topology().same_node(dest, rank_)) {
-      stats().add_onnode_msg(bytes);
-      stats_of(dest).add_recv_ops();
-    } else {
-      stats().add_offnode_msg(bytes);
-      stats_of(dest).add_recv_ops();
-    }
+    // One message per non-empty destination (self: a local access).
+    if (!out[r].empty())
+      charge_message(static_cast<int>(r), bytes,
+                     per_element_ops ? out[r].size() : 1);
   }
   barrier();
   // Pull the slice destined for this rank out of every sender's slot.

@@ -223,7 +223,7 @@ class Transport {
   [[nodiscard]] std::size_t pending(int src, ChannelId ch) const;
 
   /// Per-channel retry histogram + backoff accounting, for CommStats-style
-  /// reporting ("channel kcount.counts/store: 9841 0-retry, 112 1-retry,
+  /// reporting ("channel dbg.graph/store: 9841 0-retry, 112 1-retry,
   /// ..."). Aggregated over all ranks.
   struct ChannelReport {
     std::string name;

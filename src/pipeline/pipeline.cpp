@@ -103,7 +103,7 @@ std::uint64_t Pipeline::config_fingerprint(
   const auto put_b = [&](bool v) { w.put_u32(v ? 1 : 0); };
 
   // Only result-affecting parameters enter the fingerprint. Batching knobs
-  // (flush_threshold, chunk_kmers, lookup_chunk, read_cache_capacity,
+  // (flush thresholds, chunk_kmers, lookup_chunk, read_cache_capacity,
   // expected_links) change message schedules and table sizing, not what is
   // computed; the machine model, oracle partition and checkpoint config are
   // likewise excluded, as are the team size (resume re-shards) and
@@ -510,7 +510,7 @@ PipelineResult Pipeline::assemble(RankReads rank_reads,
     });
 
     scaffold::DepthCalculator depth_calc(team_, config_.k, total_ufx,
-                                         config_.kmer.flush_threshold);
+                                         config_.depth_flush_threshold);
     scaffold::BubbleMerger bubble_merger(
         team_, config_.bubbles, std::max<std::size_t>(64, total_ufx / 64));
     std::vector<std::vector<dbg::Contig>> merged_contigs(p);

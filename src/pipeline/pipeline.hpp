@@ -56,6 +56,10 @@ struct PipelineConfig {
   scaffold::GapClosingConfig gaps;
   scaffold::BubbleConfig bubbles;
 
+  /// Aggregating-stores batch (k-mer counts per destination buffer) of
+  /// the depth calculator's count table (§4.1).
+  std::size_t depth_flush_threshold = 512;
+
   /// Merge diploid bubbles before scaffolding (§4.2). Harmless but
   /// pointless for haploid genomes.
   bool merge_bubbles = true;

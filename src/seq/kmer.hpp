@@ -72,7 +72,24 @@ class Kmer {
     return km;
   }
 
+  /// Rebuild a k-mer of length k from its first (k+31)/32 packed words, as
+  /// `word()` reports them: the inverse of shipping a k-mer as bare words
+  /// when both ends know k.
+  [[nodiscard]] static Kmer from_words(int k,
+                                       const std::uint64_t* words) noexcept {
+    Kmer km = of_length(k);
+    for (int w = 0; w < km.words_used(); ++w)
+      km.words_[static_cast<std::size_t>(w)] = words[w];
+    return km;
+  }
+
   [[nodiscard]] int k() const noexcept { return k_; }
+
+  /// Packed word i: bases 32i .. 32i+31, MSB-first, zero past base k-1.
+  [[nodiscard]] std::uint64_t word(int i) const noexcept {
+    assert(i >= 0 && i < kWords);
+    return words_[static_cast<std::size_t>(i)];
+  }
 
   /// 2-bit code of base at position i (0 = leftmost/5' end).
   [[nodiscard]] std::uint8_t base(int i) const noexcept {

@@ -7,9 +7,11 @@ namespace hipmer::sim {
 
 namespace {
 
-void add_library(Dataset& ds, const LibraryConfig& lc) {
+void add_library(Dataset& ds, const LibraryConfig& lc,
+                 bool for_contigging = true) {
   seq::ReadLibrary lib;
   lib.name = lc.name;
+  lib.for_contigging = for_contigging;
   lib.mean_insert = lc.mean_insert;
   lib.stddev_insert = lc.stddev_insert;
   lib.read_length = lc.read_length;
@@ -81,7 +83,9 @@ Dataset make_wheat_like(std::uint64_t genome_length, std::uint64_t seed,
     lc.seed = seed + static_cast<std::uint64_t>(lib_seed++);
     add_library(ds, lc);
   }
-  // Two long-insert libraries for scaffolding (1kbp and 4.2kbp).
+  // Two long-insert libraries for scaffolding only (1kbp and 4.2kbp): like
+  // the paper's mate-pair libraries they join contigs, they do not build
+  // them.
   for (double insert : {1000.0, 4200.0}) {
     LibraryConfig lc;
     lc.name = "mp" + std::to_string(static_cast<int>(insert));
@@ -91,7 +95,7 @@ Dataset make_wheat_like(std::uint64_t genome_length, std::uint64_t seed,
     lc.coverage = coverage * 0.1;
     lc.error_rate = 0.002;
     lc.seed = seed + static_cast<std::uint64_t>(lib_seed++);
-    add_library(ds, lc);
+    add_library(ds, lc, /*for_contigging=*/false);
   }
   return ds;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <string>
 #include <unordered_map>
 
 #include "ckpt/artifacts.hpp"
@@ -141,6 +142,111 @@ TEST(MisraGries, GuaranteeThresholdTracksStream) {
   EXPECT_EQ(mg.guarantee_threshold(), 1000u / 11 + 1);
 }
 
+/// The textbook summary on a node-based map: the algorithm MisraGries must
+/// reproduce item for item, whatever its storage.
+class ReferenceMisraGries {
+ public:
+  explicit ReferenceMisraGries(std::size_t capacity) : capacity_(capacity) {}
+
+  void offer(std::uint64_t key, std::uint64_t w) {
+    n_ += w;
+    while (w > 0) {
+      if (auto it = counters_.find(key); it != counters_.end()) {
+        it->second += w;
+        return;
+      }
+      if (counters_.size() < capacity_) {
+        counters_.emplace(key, w);
+        return;
+      }
+      std::uint64_t dec = w;
+      for (const auto& [k, c] : counters_) dec = std::min(dec, c);
+      decrement_all(dec);
+      w -= dec;
+    }
+  }
+
+  void merge(const ReferenceMisraGries& other) {
+    n_ += other.n_;
+    for (const auto& [k, c] : other.counters_) counters_[k] += c;
+    if (counters_.size() <= capacity_) return;
+    std::vector<std::uint64_t> counts;
+    for (const auto& [k, c] : counters_) counts.push_back(c);
+    std::sort(counts.begin(), counts.end(), std::greater<>());
+    decrement_all(counts[capacity_]);
+  }
+
+  [[nodiscard]] const std::map<std::uint64_t, std::uint64_t>& counters() const {
+    return counters_;
+  }
+  [[nodiscard]] std::uint64_t n() const { return n_; }
+
+ private:
+  void decrement_all(std::uint64_t dec) {
+    for (auto it = counters_.begin(); it != counters_.end();) {
+      if (it->second <= dec) {
+        it = counters_.erase(it);
+      } else {
+        it->second -= dec;
+        ++it;
+      }
+    }
+  }
+
+  std::size_t capacity_;
+  std::uint64_t n_ = 0;
+  std::map<std::uint64_t, std::uint64_t> counters_;
+};
+
+std::map<std::uint64_t, std::uint64_t> as_map(
+    const MisraGries<std::uint64_t>& mg) {
+  std::map<std::uint64_t, std::uint64_t> out;
+  for (const auto& [k, c] : mg.items()) EXPECT_TRUE(out.emplace(k, c).second);
+  return out;
+}
+
+TEST(MisraGries, FlatStorageMatchesMapReference) {
+  // Skewed stream: key i has weight ~ 1/i (Zipf-like) over 5000 keys, so
+  // the 40 slots fill at once and the decrement-all step runs constantly.
+  const std::size_t theta = 40;
+  std::mt19937_64 rng(13);
+  std::vector<double> zipf_weights;
+  for (int i = 1; i <= 5000; ++i) zipf_weights.push_back(1.0 / i);
+  std::discrete_distribution<std::uint64_t> zipf(zipf_weights.begin(),
+                                                 zipf_weights.end());
+  MisraGries<std::uint64_t> unit(theta);
+  MisraGries<std::uint64_t> weighted(theta);
+  ReferenceMisraGries unit_ref(theta);
+  ReferenceMisraGries weighted_ref(theta);
+  std::uniform_int_distribution<std::uint64_t> weight(1, 9);
+  for (int i = 0; i < 60000; ++i) {
+    const std::uint64_t key = zipf(rng) * 0x9e3779b97f4a7c15ULL;
+    unit.offer(key);
+    unit_ref.offer(key, 1);
+    const std::uint64_t w = weight(rng);
+    weighted.offer(key, w);
+    weighted_ref.offer(key, w);
+    if (i % 9973 == 0) {
+      ASSERT_EQ(as_map(unit), unit_ref.counters()) << "after " << i;
+      ASSERT_EQ(as_map(weighted), weighted_ref.counters()) << "after " << i;
+    }
+  }
+  EXPECT_EQ(as_map(unit), unit_ref.counters());
+  EXPECT_EQ(as_map(weighted), weighted_ref.counters());
+  EXPECT_EQ(unit.stream_length(), unit_ref.n());
+  EXPECT_EQ(weighted.stream_length(), weighted_ref.n());
+  EXPECT_EQ(unit.size(), unit_ref.counters().size());
+  for (const auto& [k, c] : unit_ref.counters()) EXPECT_EQ(unit.count(k), c);
+  EXPECT_EQ(unit.count(0xdeadbeefULL), 0u);
+
+  // Merging two full summaries overfills the arrays before the shrink.
+  unit.merge(weighted);
+  unit_ref.merge(weighted_ref);
+  EXPECT_EQ(as_map(unit), unit_ref.counters());
+  EXPECT_EQ(unit.stream_length(), unit_ref.n());
+  EXPECT_LE(unit.size(), theta);
+}
+
 // ---- end-to-end k-mer analysis ----
 
 struct AnalysisResult {
@@ -178,21 +284,27 @@ AnalysisResult run_analysis(const std::vector<seq::Read>& all_reads,
 std::map<std::string, KmerTally> reference_tallies(
     const std::vector<seq::Read>& reads, int k, int qual_threshold) {
   std::map<std::string, KmerTally> ref;
+  const auto valid = [](char c) {
+    return seq::base_to_code(c) != seq::kBaseInvalid;
+  };
   for (const auto& read : reads) {
     for (std::size_t i = 0; i + static_cast<std::size_t>(k) <= read.seq.size(); ++i) {
       const auto sub = read.seq.substr(i, static_cast<std::size_t>(k));
+      if (!std::all_of(sub.begin(), sub.end(), valid)) continue;
       auto km = KmerT::from_string(sub);
       const auto canon = km.canonical();
       const bool flipped = canon != km;
       auto& tally = ref[canon.to_string()];
       tally.add_count(1);
       const std::size_t ri = i + static_cast<std::size_t>(k);
-      if (i > 0 && seq::phred(read.quals[i - 1]) >= qual_threshold) {
+      if (i > 0 && valid(read.seq[i - 1]) &&
+          seq::phred(read.quals[i - 1]) >= qual_threshold) {
         const auto code = seq::base_to_code(read.seq[i - 1]);
         if (!flipped) tally.add_left(code);
         else tally.add_right(seq::complement_code(code));
       }
-      if (ri < read.seq.size() && seq::phred(read.quals[ri]) >= qual_threshold) {
+      if (ri < read.seq.size() && valid(read.seq[ri]) &&
+          seq::phred(read.quals[ri]) >= qual_threshold) {
         const auto code = seq::base_to_code(read.seq[ri]);
         if (!flipped) tally.add_right(code);
         else tally.add_left(seq::complement_code(code));
@@ -249,6 +361,89 @@ TEST_P(KmerAnalysisParam, MatchesBruteForceOnCleanReads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, KmerAnalysisParam, ::testing::Values(1, 2, 4, 8));
+
+/// Reads that exercise every edge of the packed-word path: `N`s inside
+/// reads (windows restart, neighbours drop), low-quality neighbour bases,
+/// both strands, and poly-A / poly-T runs. The canonical all-A k-mer packs
+/// to all-zero words, so a table that marked free slots with zero would
+/// lose it.
+std::vector<seq::Read> dirty_reads() {
+  std::mt19937_64 rng(53);
+  std::string genome = sim::random_dna(6000, rng);
+  genome.replace(1500, 110, std::string(110, 'A'));
+  genome.replace(4200, 90, std::string(90, 'T'));
+  std::uniform_int_distribution<std::size_t> start(0, genome.size() - 90);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<seq::Read> reads;
+  const auto add = [&](std::string dna, double n_rate) {
+    std::string quals(dna.size(), 'I');
+    for (std::size_t i = 0; i < dna.size(); ++i) {
+      if (unit(rng) < n_rate) dna[i] = 'N';
+      if (unit(rng) < 0.12) quals[i] = '+';  // Phred 10: below the filter
+    }
+    reads.push_back(seq::Read{"r" + std::to_string(reads.size()),
+                              std::move(dna), std::move(quals)});
+  };
+  for (int i = 0; i < 900; ++i) {
+    std::string dna = genome.substr(start(rng), 90);
+    add(unit(rng) < 0.5 ? dna : seq::revcomp(dna), 0.01);
+  }
+  for (int i = 0; i < 20; ++i) {
+    add(std::string(80, 'A'), 0.0);
+    add(std::string(80, 'T'), 0.0);
+  }
+  return reads;
+}
+
+/// Parameter: k, across one and two packed words.
+class KmerAnalysisWords : public ::testing::TestWithParam<int> {};
+
+TEST_P(KmerAnalysisWords, MatchesBruteForceOnDirtyReads) {
+  const int k = GetParam();
+  const auto reads = dirty_reads();
+  const auto ref = reference_tallies(reads, k, KmerAnalysisConfig{}.qual_threshold);
+  const std::string all_a(static_cast<std::size_t>(k), 'A');
+  ASSERT_GE(ref.at(all_a).count, 40u * static_cast<std::uint32_t>(81 - k));
+
+  for (const int nranks : {1, 3, 4}) {
+    for (const int variant : {0, 1, 2, 3}) {
+      KmerAnalysisConfig cfg;
+      cfg.k = k;
+      cfg.min_count = 2;
+      cfg.use_bloom = (variant & 1) == 0;
+      cfg.use_heavy_hitters = (variant & 2) == 0;
+      cfg.mg_capacity = 64;    // small: the poly runs become heavy hitters
+      cfg.chunk_kmers = 1000;  // several exchange rounds
+      SCOPED_TRACE(::testing::Message()
+                   << "ranks=" << nranks << " bloom=" << cfg.use_bloom
+                   << " heavy=" << cfg.use_heavy_hitters);
+      const auto result = run_analysis(reads, cfg, nranks);
+      if (cfg.use_heavy_hitters) {
+        EXPECT_GT(result.heavy_count, 0u);
+      }
+
+      std::size_t expected = 0;
+      for (const auto& [km, tally] : ref) {
+        if (tally.count < 2) {
+          EXPECT_EQ(result.ufx.count(km), 0u) << km;
+          continue;
+        }
+        ++expected;
+        auto it = result.ufx.find(km);
+        ASSERT_NE(it, result.ufx.end()) << km;
+        const auto want = summarize(tally, cfg.min_ext_count);
+        EXPECT_EQ(it->second.depth, tally.count) << km;
+        EXPECT_EQ(it->second.left_ext, want.left_ext) << km;
+        EXPECT_EQ(it->second.right_ext, want.right_ext) << km;
+      }
+      EXPECT_EQ(result.ufx.size(), expected);
+      EXPECT_EQ(result.ufx.count(all_a), 1u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(K, KmerAnalysisWords,
+                         ::testing::Values(21, 31, 32, 33, 51));
 
 TEST(KmerAnalysis, HeavyHitterPathMatchesDefaultPath) {
   // Repetitive genome -> real heavy hitters; both paths must agree exactly.

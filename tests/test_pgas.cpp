@@ -290,20 +290,6 @@ TEST(DistHashMap, AggregatingStoresReduceMessageCount) {
   EXPECT_GT(fine_msgs, coarse_msgs * 100);
 }
 
-TEST(DistHashMap, IfPresentPolicySkipsNewKeys) {
-  ThreadTeam team(Topology{2, 2});
-  CountMap map(team, CountMap::Config{.global_capacity = 128, .flush_threshold = 4});
-  team.run([&](Rank& rank) {
-    if (rank.id() == 0) map.update(rank, 42u, 5);
-    rank.barrier();
-    map.update(rank, 42u, 1, CountMap::Policy::kIfPresent);
-    map.update(rank, 43u, 1, CountMap::Policy::kIfPresent);
-    rank.barrier();
-    EXPECT_EQ(map.find(rank, 42u).value_or(0), 7u);  // 5 + 1 + 1
-    EXPECT_FALSE(map.find(rank, 43u).has_value());
-  });
-}
-
 TEST(DistHashMap, ModifyInPlace) {
   ThreadTeam team(Topology{3, 3});
   Map map(team, Map::Config{.global_capacity = 64, .flush_threshold = 4});

@@ -185,8 +185,6 @@ TEST(Pipeline, DeterministicAcrossRankCounts) {
   // Several libraries number their pairs independently; a pair index
   // therefore names one read per library.
   auto wheat = sim::make_wheat_like(60000, 7797);
-  for (auto& lib : wheat.libraries)
-    if (lib.name.rfind("mp", 0) == 0) lib.for_contigging = false;
   const auto dir = fs::temp_directory_path() /
                    ("hipmer_det_" + std::to_string(std::random_device{}()));
   fs::create_directories(dir);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -12,6 +13,7 @@
 #include "seq/kmer_scanner.hpp"
 #include "seq/read.hpp"
 #include "seq/types.hpp"
+#include "sim/genome_sim.hpp"
 #include "sim/read_sim.hpp"
 
 // Global allocation counter: the zero-allocation guarantee of KmerScanner's
@@ -173,6 +175,28 @@ TEST(Kmer, HashDiffersAcrossKmers) {
   }
   // Random 21-mers essentially never collide in 64-bit space.
   EXPECT_GT(hashes.size(), 495u);
+}
+
+TEST(Kmer, WordsRoundTripAcrossWidths) {
+  // A k-mer ships as its bare packed words; the receiver rebuilds it with
+  // the run's k, in a type of any width that holds k, with the same hash.
+  std::mt19937_64 rng(61);
+  for (int k = 1; k <= 64; ++k) {
+    const std::string s = sim::random_dna(static_cast<std::uint64_t>(k), rng);
+    const auto km = Kmer<64>::from_string(s);
+    const std::array<std::uint64_t, 2> words{km.word(0), km.word(1)};
+    const auto back = Kmer<64>::from_words(k, words.data());
+    EXPECT_EQ(back, km) << s;
+    EXPECT_EQ(back.hash(), km.hash()) << s;
+    const auto wide = Kmer<96>::from_words(k, words.data());
+    EXPECT_EQ(wide.to_string(), s);
+    EXPECT_EQ(wide.hash(), km.hash()) << s;
+    if (k > 32) continue;
+    EXPECT_EQ(km.word(1), 0u) << s;
+    const auto narrow = Kmer<32>::from_words(k, words.data());
+    EXPECT_EQ(narrow.to_string(), s);
+    EXPECT_EQ(narrow.hash(), km.hash()) << s;
+  }
 }
 
 TEST(Kmer, EqualityRequiresSameK) {

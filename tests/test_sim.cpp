@@ -231,6 +231,9 @@ TEST(Datasets, WheatLikeShape) {
   ASSERT_EQ(ds.libraries.size(), 5u);  // 3 short + 2 long insert
   EXPECT_NEAR(ds.libraries[3].mean_insert, 1000.0, 1e-9);
   EXPECT_NEAR(ds.libraries[4].mean_insert, 4200.0, 1e-9);
+  // Short inserts build contigs; the mate pairs only scaffold them.
+  for (std::size_t lib = 0; lib < ds.libraries.size(); ++lib)
+    EXPECT_EQ(ds.libraries[lib].for_contigging, lib < 3) << lib;
 }
 
 }  // namespace
